@@ -102,13 +102,13 @@ runMode(const Case &c, int frames)
     cfg.force_mode = c.mode;
     cfg.tune = c.tune;
 
-    PipelineConfig seq;
-    seq.stages = 1;
-    PipelinedRun s = runPipelined(cfg, seq);
-
+    // The planner's model gives every stage one thread, so it plans
+    // from a one-lane profile (runLocalization), the lane count of a
+    // host-filling topology.
+    const ModeRun profile = runLocalization(cfg);
     std::vector<FrameTelemetry> tel;
-    tel.reserve(s.run.frames.size());
-    for (const FrameRecord &f : s.run.frames)
+    tel.reserve(profile.frames.size());
+    for (const FrameRecord &f : profile.frames)
         tel.push_back(f.res.telemetry);
 
     ModeReport r;
@@ -128,7 +128,10 @@ runMode(const Case &c, int frames)
     r.seq_ms = modelPeriodMs(tel, c.mode, {});
     r.fixed2_ms = modelPeriodMs(tel, c.mode, {2});
     r.planned_ms = modelPeriodMs(tel, c.mode, r.plan.cuts);
-    r.seq_fps = s.stats.fps();
+
+    PipelineConfig seq;
+    seq.stages = 1;
+    r.seq_fps = runPipelined(cfg, seq).stats.fps();
 
     PipelineConfig fixed2;
     fixed2.stages = 2;
@@ -597,17 +600,15 @@ adaptReport(int frames)
         recovered_ms > 0.0 ? 1000.0 * recovered / recovered_ms : 0.0;
 
     // The yardstick: a fresh session statically planned for the
-    // post-shift workload (sequential run -> steady-state telemetry ->
-    // planner cuts -> measured planned run), exactly the offline flow
-    // the adaptive path has to match online.
+    // post-shift workload (one-lane sequential profile -> steady-state
+    // telemetry -> planner cuts -> measured planned run), exactly the
+    // offline flow the adaptive path has to match online.
     RunConfig scfg = cfg;
     scfg.frames = phase2;
-    PipelineConfig seq;
-    seq.stages = 1;
-    PipelinedRun s = runPipelined(scfg, seq);
+    const ModeRun profile = runLocalization(scfg);
     std::vector<FrameTelemetry> tel;
-    tel.reserve(s.run.frames.size());
-    for (const FrameRecord &f : s.run.frames)
+    tel.reserve(profile.frames.size());
+    for (const FrameRecord &f : profile.frames)
         tel.push_back(f.res.telemetry);
     const size_t warmup =
         std::min(tel.size() - 1, std::max<size_t>(4, tel.size() / 5));
@@ -676,8 +677,9 @@ main()
     }
     t.print();
     note("model fps from the uncontended sequential run's sub-stage "
-         "latencies (core-count independent, the paper's derivation); "
-         "measured wall fps additionally reflects " +
+         "latencies on one frontend lane (core-count independent, the "
+         "paper's derivation); measured wall fps additionally reflects "
+         "the frontend lanes each topology leaves and " +
          std::to_string(std::thread::hardware_concurrency()) +
          " available hardware thread(s)");
 

@@ -138,6 +138,7 @@ runLocalization(const RunConfig &cfg)
     SessionAssets assets = buildAssets(cfg);
     const Dataset &dataset = *assets.dataset;
     std::unique_ptr<Localizer> loc = assets.makeSession();
+    loc->setFrontendLanes(1);
 
     ModeRun run;
     run.scene = cfg.scene;

@@ -77,7 +77,8 @@ struct RunConfig
  * Runs the localizer per @p cfg. Builds the vocabulary and - for the
  * registration mode - the prior map on the fly. Registration map
  * quality follows the scenario (outdoor maps carry more drift noise;
- * see core/evaluation.hpp).
+ * see core/evaluation.hpp). The frontend runs on one lane, so every
+ * timing is a one-core software baseline whatever the host's width.
  */
 ModeRun runLocalization(const RunConfig &cfg);
 

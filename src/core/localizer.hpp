@@ -225,6 +225,15 @@ class Localizer
     void runFrontendTm(const ImageU8 &left, FrontendStageContext &ctx,
                        FrontendOutput &out);
 
+    /**
+     * Lanes of the frontend's FE and TM blocks (VisionFrontend::
+     * setLanes). A bare localizer uses every available CPU;
+     * FramePipeline and LocalizerPool set the count from the cores
+     * their executor leaves free.
+     */
+    void setFrontendLanes(int lanes) { frontend_.setLanes(lanes); }
+    int frontendLanes() const { return frontend_.lanes(); }
+
     /** Backend solve sub-stage; fills @p ctx for runBackendFinish(). */
     void runBackendSolve(const FrameInput &input, const FrontendOutput &fe,
                          BackendStageContext &ctx);

@@ -1,5 +1,6 @@
 #include "features/optical_flow.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/mat.hpp"
@@ -119,54 +120,60 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
     return next.containsWithBorder(nx, ny, r + 2);
 }
 
-void
-trackAll(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
-         const Pyramid &next, const std::vector<KeyPoint> &prev_pts,
-         const FlowConfig &cfg, FlowScratch &scratch,
-         std::vector<TemporalMatch> &out)
+/** Levels tracked: the configured count, capped by what is cached. */
+int
+trackedLevels(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
+              const Pyramid &next, const FlowConfig &cfg)
 {
-    out.clear();
-    const int levels =
-        std::min({cfg.pyramid_levels, prev.levels(), next.levels(),
-                  static_cast<int>(prev_grads.size())});
-    if (levels <= 0)
-        return;
+    return std::min({cfg.pyramid_levels, prev.levels(), next.levels(),
+                     static_cast<int>(prev_grads.size())});
+}
 
-    for (int i = 0; i < static_cast<int>(prev_pts.size()); ++i) {
-        const KeyPoint &kp = prev_pts[i];
-        // Start at the coarsest level with the identity guess.
-        double scale = std::pow(2.0, levels - 1);
-        double nx = kp.x / scale, ny = kp.y / scale;
-        bool ok = true;
-        double residual = 0.0;
-        for (int l = levels - 1; l >= 0; --l) {
-            double s = std::pow(2.0, l);
-            double px = kp.x / s, py = kp.y / s;
-            double cx = nx, cy = ny;
-            ok = trackAtLevel(prev.level(l), prev_grads[l],
-                              next.level(l), px, py, cx, cy, cfg,
-                              scratch, residual);
-            if (ok) {
-                nx = cx;
-                ny = cy;
-            } else if (l > 0) {
-                // Coarse levels may lack texture (patches shrink to a few
-                // pixels); keep the current guess and let finer levels
-                // recover. Only the finest level must succeed.
-                ok = true;
-            } else {
-                break;
-            }
-            if (l > 0) {
-                nx *= 2.0;
-                ny *= 2.0;
-            }
+/**
+ * Tracks prev_pts[i] coarse to fine over @p levels (> 0) levels. A pure
+ * function of the frames and the point (the scratch windows are fully
+ * rewritten before they are read), so any split of the point list
+ * tracks every point identically. @return false when the point is lost.
+ */
+bool
+trackPoint(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
+           const Pyramid &next, const std::vector<KeyPoint> &prev_pts,
+           int i, int levels, const FlowConfig &cfg, FlowScratch &scratch,
+           TemporalMatch &m)
+{
+    const KeyPoint &kp = prev_pts[i];
+    // Start at the coarsest level with the identity guess.
+    double scale = std::pow(2.0, levels - 1);
+    double nx = kp.x / scale, ny = kp.y / scale;
+    bool ok = true;
+    double residual = 0.0;
+    for (int l = levels - 1; l >= 0; --l) {
+        double s = std::pow(2.0, l);
+        double px = kp.x / s, py = kp.y / s;
+        double cx = nx, cy = ny;
+        ok = trackAtLevel(prev.level(l), prev_grads[l], next.level(l), px,
+                          py, cx, cy, cfg, scratch, residual);
+        if (ok) {
+            nx = cx;
+            ny = cy;
+        } else if (l > 0) {
+            // Coarse levels may lack texture (patches shrink to a few
+            // pixels); keep the current guess and let finer levels
+            // recover. Only the finest level must succeed.
+            ok = true;
+        } else {
+            break;
         }
-        if (!ok || residual > cfg.max_residual)
-            continue;
-        out.push_back({i, static_cast<float>(nx), static_cast<float>(ny),
-                       static_cast<float>(residual)});
+        if (l > 0) {
+            nx *= 2.0;
+            ny *= 2.0;
+        }
     }
+    if (!ok || residual > cfg.max_residual)
+        return false;
+    m = {i, static_cast<float>(nx), static_cast<float>(ny),
+         static_cast<float>(residual)};
+    return true;
 }
 
 } // namespace
@@ -179,7 +186,36 @@ trackLucasKanadeInto(const Pyramid &prev,
                      const FlowConfig &cfg, FlowScratch &scratch,
                      std::vector<TemporalMatch> &out)
 {
-    trackAll(prev, prev_grads, next, prev_pts, cfg, scratch, out);
+    out.resize(prev_pts.size());
+    trackLucasKanadeRange(prev, prev_grads, next, prev_pts, 0,
+                          static_cast<int>(prev_pts.size()), cfg, scratch,
+                          out);
+    dropLostTracks(out);
+}
+
+void
+trackLucasKanadeRange(const Pyramid &prev,
+                      const std::vector<Gradients> &prev_grads,
+                      const Pyramid &next,
+                      const std::vector<KeyPoint> &prev_pts, int begin,
+                      int end, const FlowConfig &cfg, FlowScratch &scratch,
+                      std::vector<TemporalMatch> &slots)
+{
+    const int levels = trackedLevels(prev, prev_grads, next, cfg);
+    for (int i = begin; i < end; ++i)
+        if (levels <= 0 || !trackPoint(prev, prev_grads, next, prev_pts, i,
+                                       levels, cfg, scratch, slots[i]))
+            slots[i] = TemporalMatch{};
+}
+
+void
+dropLostTracks(std::vector<TemporalMatch> &slots)
+{
+    slots.erase(std::remove_if(slots.begin(), slots.end(),
+                               [](const TemporalMatch &m) {
+                                   return m.prev_index < 0;
+                               }),
+                slots.end());
 }
 
 std::vector<TemporalMatch>
@@ -196,7 +232,7 @@ trackLucasKanade(const Pyramid &prev, const Pyramid &next,
                             : centralDiffGradients(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
-    trackAll(prev, grads, next, prev_pts, cfg, scratch, out);
+    trackLucasKanadeInto(prev, grads, next, prev_pts, cfg, scratch, out);
     return out;
 }
 
@@ -215,7 +251,7 @@ trackLucasKanadeReference(const Pyramid &prev, const Pyramid &next,
                 : centralDiffGradientsReference(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
-    trackAll(prev, grads, next, prev_pts, cfg, scratch, out);
+    trackLucasKanadeInto(prev, grads, next, prev_pts, cfg, scratch, out);
     return out;
 }
 

@@ -83,6 +83,26 @@ void trackLucasKanadeInto(const Pyramid &prev,
                           const FlowConfig &cfg, FlowScratch &scratch,
                           std::vector<TemporalMatch> &out);
 
+/**
+ * Tracks prev_pts[@p begin, @p end) only, one result slot per point:
+ * slots[i] is point i's match, or a default TemporalMatch
+ * (prev_index -1) when it is lost. Writes nothing else, so disjoint
+ * ranges may run concurrently, each with its own @p scratch. @p slots
+ * must already hold prev_pts.size() entries; dropLostTracks() then
+ * turns them into trackLucasKanadeInto's output, which is this over
+ * the whole list.
+ */
+void trackLucasKanadeRange(const Pyramid &prev,
+                           const std::vector<Gradients> &prev_grads,
+                           const Pyramid &next,
+                           const std::vector<KeyPoint> &prev_pts,
+                           int begin, int end, const FlowConfig &cfg,
+                           FlowScratch &scratch,
+                           std::vector<TemporalMatch> &slots);
+
+/** Removes the lost slots (prev_index < 0) in place, keeping order. */
+void dropLostTracks(std::vector<TemporalMatch> &slots);
+
 /** Allocating convenience form: computes the gradients internally. */
 std::vector<TemporalMatch> trackLucasKanade(
     const Pyramid &prev, const Pyramid &next,

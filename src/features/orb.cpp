@@ -159,14 +159,22 @@ void
 computeOrbDescriptorsInto(const ImageU8 &img, std::vector<KeyPoint> &kps,
                           std::vector<Descriptor> &out)
 {
-    const auto &pattern = briefPattern();
-    out.clear();
     out.resize(kps.size());
+    computeOrbDescriptorsRange(img, kps, 0, kps.size(), out);
+}
 
-    for (size_t i = 0; i < kps.size(); ++i) {
+void
+computeOrbDescriptorsRange(const ImageU8 &img, std::vector<KeyPoint> &kps,
+                           size_t begin, size_t end,
+                           std::vector<Descriptor> &out)
+{
+    const auto &pattern = briefPattern();
+    for (size_t i = begin; i < end; ++i) {
         KeyPoint &kp = kps[i];
-        if (!img.containsWithBorder(kp.x, kp.y, kOrbPatchRadius + 1))
-            continue; // zero descriptor for border points
+        if (!img.containsWithBorder(kp.x, kp.y, kOrbPatchRadius + 1)) {
+            out[i] = Descriptor{}; // zero descriptor for border points
+            continue;
+        }
 
         kp.angle = orbOrientation(img, kp.x, kp.y);
         const float ca = std::cos(kp.angle);

@@ -11,8 +11,11 @@
  * computeOrbDescriptorsInto() is the workspace form with a raw-pointer
  * interior fast path (row-pointer moment accumulation over precomputed
  * circle extents; unclamped bilinear taps for points far enough from
- * the border). computeOrbDescriptorsReference() retains the scalar
- * clamped-sampling formulation; the two are bit-exact (golden-tested).
+ * the border). Each key point's descriptor and angle depend on that
+ * point and the image alone, which lets the frontend split the list
+ * into chunks (computeOrbDescriptorsRange) across lanes.
+ * computeOrbDescriptorsReference() retains the scalar clamped-sampling
+ * formulation; the two are bit-exact (golden-tested).
  */
 #pragma once
 
@@ -46,6 +49,16 @@ std::vector<Descriptor> computeOrbDescriptors(const ImageU8 &img,
 void computeOrbDescriptorsInto(const ImageU8 &img,
                                std::vector<KeyPoint> &kps,
                                std::vector<Descriptor> &out);
+
+/**
+ * computeOrbDescriptorsInto over the key points [@p begin, @p end)
+ * only: writes out[i] and kps[i].angle for each i in the range and
+ * nothing else, so disjoint ranges may run concurrently. @p out must
+ * already hold kps.size() entries.
+ */
+void computeOrbDescriptorsRange(const ImageU8 &img,
+                                std::vector<KeyPoint> &kps, size_t begin,
+                                size_t end, std::vector<Descriptor> &out);
 
 /** Scalar clamped-sampling reference (golden tests). */
 std::vector<Descriptor> computeOrbDescriptorsReference(

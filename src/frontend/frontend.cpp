@@ -1,14 +1,41 @@
 #include "frontend/frontend.hpp"
 
-#include "frontend/lane.hpp"
+#include <algorithm>
+#include <array>
+
 #include "image/filter.hpp"
+#include "math/cpu_features.hpp"
 #include "runtime/telemetry.hpp"
 
 namespace edx {
 
-VisionFrontend::VisionFrontend(const FrontendConfig &cfg) : cfg_(cfg) {}
+namespace {
+
+/**
+ * Key points per ORB or LK task. A constant, so the split of the work
+ * never depends on the lane count.
+ */
+constexpr int kChunk = 32;
+
+int
+chunksOf(size_t points)
+{
+    return static_cast<int>((points + kChunk - 1) / kChunk);
+}
+
+} // namespace
+
+VisionFrontend::VisionFrontend(const FrontendConfig &cfg)
+    : cfg_(cfg), lanes_(availableCpus())
+{}
 
 VisionFrontend::~VisionFrontend() = default;
+
+void
+VisionFrontend::setLanes(int lanes)
+{
+    lanes_.store(std::max(1, lanes), std::memory_order_relaxed);
+}
 
 void
 VisionFrontend::reset()
@@ -90,94 +117,62 @@ VisionFrontend::runTmStage(const ImageU8 &left, FrontendStageContext &,
 }
 
 void
-VisionFrontend::runEye(const ImageU8 &img, EyeWorkspace &eye,
-                       EyeTiming &t)
-{
-    {
-        StageTimer timer(t.fd_ms);
-        detectFastInto(img, cfg_.fast, eye.fast, eye.keypoints);
-    }
-    {
-        StageTimer timer(t.if_ms);
-        gaussianBlurInto(img, eye.blur, eye.blurred);
-    }
-    {
-        StageTimer timer(t.fc_ms);
-        computeOrbDescriptorsInto(eye.blurred, eye.keypoints,
-                                  eye.descriptors);
-    }
-}
-
-void
 VisionFrontend::feOptimized(const ImageU8 &left, const ImageU8 &right,
                             FrontendStageContext &ctx, FrontendOutput &out)
 {
     // --- Feature extraction block (FD + IF + FC), both images. The
     // hardware time-shares one FE pipeline across the two streams
-    // (Sec. V-B); with lanes == 2 the software runs one eye per worker
-    // lane (disjoint workspace halves, so bit-exact with lanes == 1).
-    if (cfg_.lanes >= 2) {
-        if (!lane_)
-            lane_ = std::make_unique<WorkerLane>();
-        lane_->ensureStarted();
+    // (Sec. V-B); the software runs FAST and blur of each eye as four
+    // independent tasks, then ORB over kChunk-keypoint chunks of both
+    // eyes. Each task writes only its eye's buffers or its chunk's
+    // descriptor slots, so the products do not depend on the lanes.
+    const int lanes = lanes_.load(std::memory_order_relaxed);
+    EyeWorkspace *const eyes[2] = {&ws_.left, &ws_.right};
+    const ImageU8 *const images[2] = {&left, &right};
 
-        struct LaneJob
-        {
-            VisionFrontend *fe;
-            const ImageU8 *img;
-            EyeWorkspace *eye;
-            EyeTiming t;
-        };
-        LaneJob right_job{this, &right, &ws_.right, {}};
-        EyeTiming left_t;
+    // Tasks 0-1 detect, 2-3 blur (left, right). The lanes overlap, so
+    // the per-task times are scaled to the phase's wall time: the
+    // reported split keeps the task proportions and fd + if stays a
+    // wall span.
+    std::array<double, 4> task_ms{};
+    double wall_ms = 0.0;
+    {
+        StageTimer wall(wall_ms);
+        fe_lanes_.run(lanes, 4, [&](int t, int) {
+            EyeWorkspace &eye = *eyes[t % 2];
+            const ImageU8 &img = *images[t % 2];
+            StageTimer timer(task_ms[t]);
+            if (t < 2)
+                detectFastInto(img, cfg_.fast, eye.fast, eye.keypoints);
+            else
+                gaussianBlurInto(img, eye.blur, eye.blurred);
+        });
+    }
+    const double fd_ms = task_ms[0] + task_ms[1];
+    const double if_ms = task_ms[2] + task_ms[3];
+    const double scale = fd_ms + if_ms > 0.0 ? wall_ms / (fd_ms + if_ms)
+                                             : 0.0;
+    out.timing.fd_ms = scale * fd_ms;
+    out.timing.if_ms = scale * if_ms;
 
-        double wall_ms = 0.0;
-        {
-            StageTimer wall(wall_ms);
-            lane_->post(
-                [](void *arg) {
-                    auto *job = static_cast<LaneJob *>(arg);
-                    job->fe->runEye(*job->img, *job->eye, job->t);
-                },
-                &right_job);
-            runEye(left, ws_.left, left_t);
-            lane_->wait();
-        }
-
-        // Per-task attribution: the lanes overlap, so the six task
-        // timers sum to more than the wall span. Scale them so the
-        // reported split preserves task proportions while total()
-        // remains the true FE wall time.
-        const EyeTiming &rt = right_job.t;
-        const double lane_sum = left_t.fd_ms + left_t.if_ms +
-                                left_t.fc_ms + rt.fd_ms + rt.if_ms +
-                                rt.fc_ms;
-        const double scale = lane_sum > 0.0 ? wall_ms / lane_sum : 0.0;
-        out.timing.fd_ms = scale * (left_t.fd_ms + rt.fd_ms);
-        out.timing.if_ms = scale * (left_t.if_ms + rt.if_ms);
-        out.timing.fc_ms = scale * (left_t.fc_ms + rt.fc_ms);
-    } else {
-        {
-            StageTimer timer(out.timing.fd_ms);
-            detectFastInto(left, cfg_.fast, ws_.left.fast,
-                           ws_.left.keypoints);
-            detectFastInto(right, cfg_.fast, ws_.right.fast,
-                           ws_.right.keypoints);
-        }
-        {
-            StageTimer timer(out.timing.if_ms);
-            gaussianBlurInto(left, ws_.left.blur, ws_.left.blurred);
-            gaussianBlurInto(right, ws_.right.blur, ws_.right.blurred);
-        }
-        {
-            StageTimer timer(out.timing.fc_ms);
-            computeOrbDescriptorsInto(ws_.left.blurred,
-                                      ws_.left.keypoints,
-                                      ws_.left.descriptors);
-            computeOrbDescriptorsInto(ws_.right.blurred,
-                                      ws_.right.keypoints,
-                                      ws_.right.descriptors);
-        }
+    {
+        StageTimer timer(out.timing.fc_ms);
+        const int left_chunks = chunksOf(ws_.left.keypoints.size());
+        for (EyeWorkspace *eye : eyes)
+            eye->descriptors.resize(eye->keypoints.size());
+        fe_lanes_.run(
+            lanes, left_chunks + chunksOf(ws_.right.keypoints.size()),
+            [&](int t, int) {
+                const bool in_left = t < left_chunks;
+                EyeWorkspace &eye = in_left ? ws_.left : ws_.right;
+                const size_t begin =
+                    static_cast<size_t>(in_left ? t : t - left_chunks) *
+                    kChunk;
+                const size_t end =
+                    std::min(begin + kChunk, eye.keypoints.size());
+                computeOrbDescriptorsRange(eye.blurred, eye.keypoints,
+                                           begin, end, eye.descriptors);
+            });
     }
 
     // Copy (not swap) the products out: the workspace keeps its
@@ -226,31 +221,42 @@ VisionFrontend::tmOptimized(const ImageU8 &left, FrontendOutput &out)
     // per-level gradient images are built once into the workspace's
     // current-frame slots and double-buffer-swapped into the previous
     // slots at frame end.
-    {
-        StageTimer timer(out.timing.tm_ms);
-        ws_.cur_pyramid.rebuild(left, cfg_.flow.pyramid_levels);
-        const int levels = ws_.cur_pyramid.levels();
-        if (static_cast<int>(ws_.cur_gradients.size()) < levels)
-            ws_.cur_gradients.resize(levels);
-        for (int l = 0; l < levels; ++l) {
-            if (cfg_.flow.scharr_gradients)
-                scharrGradientsInto(ws_.cur_pyramid.level(l),
-                                    ws_.cur_gradients[l]);
-            else
-                centralDiffGradientsInto(ws_.cur_pyramid.level(l),
-                                         ws_.cur_gradients[l]);
-        }
-        if (has_prev_) {
-            trackLucasKanadeInto(ws_.prev_pyramid, ws_.prev_gradients,
-                                 ws_.cur_pyramid, ws_.prev_keypoints,
-                                 cfg_.flow, ws_.flow, ws_.temporal);
-        } else {
-            ws_.temporal.clear();
-        }
-        swap(ws_.prev_pyramid, ws_.cur_pyramid);
-        std::swap(ws_.prev_gradients, ws_.cur_gradients);
+    const int lanes = lanes_.load(std::memory_order_relaxed);
+    StageTimer timer(out.timing.tm_ms);
+    ws_.cur_pyramid.rebuild(left, cfg_.flow.pyramid_levels);
+    const int levels = ws_.cur_pyramid.levels();
+    if (static_cast<int>(ws_.cur_gradients.size()) < levels)
+        ws_.cur_gradients.resize(levels);
+    for (int l = 0; l < levels; ++l) {
+        if (cfg_.flow.scharr_gradients)
+            scharrGradientsInto(ws_.cur_pyramid.level(l),
+                                ws_.cur_gradients[l]);
+        else
+            centralDiffGradientsInto(ws_.cur_pyramid.level(l),
+                                     ws_.cur_gradients[l]);
     }
-    out.temporal.assign(ws_.temporal.begin(), ws_.temporal.end());
+    out.temporal.clear();
+    if (has_prev_) {
+        // LK over kChunk-keypoint chunks of the previous key points:
+        // each lane tracks with its own window scratch into one slot
+        // per point, and the lost slots are dropped in index order
+        // after the join — trackLucasKanadeInto's output.
+        const std::vector<KeyPoint> &pts = ws_.prev_keypoints;
+        const int n = static_cast<int>(pts.size());
+        if (static_cast<int>(ws_.flow.size()) < lanes)
+            ws_.flow.resize(lanes);
+        out.temporal.resize(pts.size());
+        tm_lanes_.run(lanes, chunksOf(pts.size()), [&](int t, int lane) {
+            const int begin = t * kChunk;
+            trackLucasKanadeRange(ws_.prev_pyramid, ws_.prev_gradients,
+                                  ws_.cur_pyramid, pts, begin,
+                                  std::min(begin + kChunk, n), cfg_.flow,
+                                  ws_.flow[lane], out.temporal);
+        });
+        dropLostTracks(out.temporal);
+    }
+    swap(ws_.prev_pyramid, ws_.cur_pyramid);
+    std::swap(ws_.prev_gradients, ws_.cur_gradients);
 }
 
 void

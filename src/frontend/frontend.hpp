@@ -16,21 +16,35 @@
  *
  * Execution model: all hot-path buffers live in a per-session
  * FrameWorkspace (frontend/workspace.hpp), so steady-state frames do
- * zero heap allocation. With FrontendConfig::lanes == 2 the per-eye FE
- * pipelines (FD -> IF -> FC) run on two worker lanes, mirroring the
- * accelerator's time-shared FE hardware; the two eyes touch disjoint
- * workspace halves, so lanes == 2 is bit-exact with the sequential
- * lanes == 1 path. FrontendConfig::use_reference routes every task
- * through the retained scalar reference kernels instead (the benches'
- * "before" baseline and the golden-equivalence tests' anchor).
+ * zero heap allocation. The per-eye and per-keypoint work runs on
+ * lanes (frontend/lane_group.hpp): the calling thread plus helper
+ * threads, mirroring the accelerator's time-shared FE pipeline and its
+ * parallel LK lanes (Sec. V-B). FE runs FAST and blur of each eye as
+ * four independent tasks, then ORB over fixed 32-keypoint chunks of
+ * both eyes; TM runs LK over fixed 32-keypoint chunks of the previous
+ * key points, one result slot per point, with the lost slots dropped
+ * in index order after the join. Each key point's result is a pure function of the
+ * frame and lands in its own slot, so the products are bit-identical
+ * for every lane count and every chunk-to-thread assignment. FE and
+ * TM own separate lane groups: FE of frame N+1 may run beside TM of
+ * frame N on different stage threads.
  *
- * Every task is timed individually; the timing records feed the
+ * The lane count is derived, never configured: a bare frontend uses
+ * every CPU the process may run on (availableCpus()), and the staged
+ * runtime sets it with setLanes() from the cores its executor leaves
+ * free (runtime/pipeline.hpp, runtime/localizer_pool.hpp). It is read
+ * once per call, so changing it between frames is safe.
+ * FrontendConfig::use_reference routes every task through the retained
+ * scalar reference kernels instead, on the calling thread (the
+ * benches' "before" baseline and the golden-equivalence tests' anchor).
+ *
+ * Every task is timed (see FrontendTiming); the timing records feed the
  * characterization benches (Figs. 5, 9-11, 20) and the accelerator
  * model's workload inputs.
  */
 #pragma once
 
-#include <memory>
+#include <atomic>
 #include <vector>
 
 #include "features/fast.hpp"
@@ -39,12 +53,11 @@
 #include "features/optical_flow.hpp"
 #include "features/orb.hpp"
 #include "features/stereo.hpp"
+#include "frontend/lane_group.hpp"
 #include "frontend/workspace.hpp"
 #include "image/pyramid.hpp"
 
 namespace edx {
-
-class WorkerLane;
 
 /** Frontend configuration: per-block sub-configurations. */
 struct FrontendConfig
@@ -54,21 +67,19 @@ struct FrontendConfig
     FlowConfig flow;
 
     /**
-     * Intra-frontend worker lanes for the FE block: 1 = sequential
-     * (the default), 2 = left/right eyes in parallel (bit-exact with
-     * lanes == 1 — the eyes share no mutable state).
-     */
-    int lanes = 1;
-
-    /**
      * Run the retained scalar reference kernels instead of the
-     * optimized ones (allocating, single-lane). Used by the golden
-     * equivalence tests and the before/after benches.
+     * optimized ones (allocating, on the calling thread). Used by the
+     * golden equivalence tests and the before/after benches.
      */
     bool use_reference = false;
 };
 
-/** Wall-clock latency of each frontend task, milliseconds. */
+/**
+ * Wall-clock latency of each frontend task, milliseconds. FD and IF
+ * run side by side on the lanes, so their task times are scaled to
+ * that phase's wall time: fd + if + fc is the FE block's wall time and
+ * tm_ms the TM block's, at any lane count.
+ */
 struct FrontendTiming
 {
     double fd_ms = 0.0; //!< feature point detection (both images)
@@ -149,7 +160,7 @@ struct FrontendStageContext
 /**
  * The stateful frontend: owns the FrameWorkspace (including the
  * previous frame's pyramid, gradients and key points for temporal
- * matching) and, when lanes == 2, the second FE worker lane.
+ * matching) and the FE and TM lane groups.
  */
 class VisionFrontend
 {
@@ -201,6 +212,16 @@ class VisionFrontend
     const FrontendConfig &config() const { return cfg_; }
 
     /**
+     * Sets the lanes the FE and TM blocks run on (values below 1 mean
+     * 1). Safe between frames and from another thread: each call reads
+     * the count once.
+     */
+    void setLanes(int lanes);
+
+    /** The current lane count (availableCpus() until setLanes()). */
+    int lanes() const { return lanes_.load(std::memory_order_relaxed); }
+
+    /**
      * Number of processed frames that grew any workspace buffer. Flat
      * across steady-state frames == the frame ran allocation-free.
      */
@@ -214,14 +235,6 @@ class VisionFrontend
     }
 
   private:
-    struct EyeTiming
-    {
-        double fd_ms = 0.0, if_ms = 0.0, fc_ms = 0.0;
-    };
-
-    /** FD -> IF -> FC for one eye (one lane's share of the FE block). */
-    void runEye(const ImageU8 &img, EyeWorkspace &eye, EyeTiming &t);
-
     void feOptimized(const ImageU8 &left, const ImageU8 &right,
                      FrontendStageContext &ctx, FrontendOutput &out);
     void smOptimized(const ImageU8 &left, const ImageU8 &right,
@@ -236,7 +249,8 @@ class VisionFrontend
     FrontendConfig cfg_;
     FrameWorkspace ws_;
     FrontendStageContext mono_ctx_; //!< reused by processFrameInto()
-    std::unique_ptr<WorkerLane> lane_;
+    std::atomic<int> lanes_;
+    LaneGroup fe_lanes_, tm_lanes_;
     bool has_prev_ = false;
     size_t alloc_events_ = 0;
 };

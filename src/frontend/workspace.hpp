@@ -8,8 +8,11 @@
  *  - VisionFrontend owns one FrameWorkspace for the lifetime of the
  *    session; processFrame() only ever writes into it.
  *  - Per-eye state (EyeWorkspace) is disjoint between left and right,
- *    so the two stereo lanes can fill them concurrently without
- *    synchronization.
+ *    so the FE lanes can fill them concurrently without
+ *    synchronization; ORB chunks write disjoint descriptor slots.
+ *  - LK keeps one FlowScratch per lane, and each lane writes only its
+ *    chunk's slots of the output track list, so the TM lanes share no
+ *    mutable buffer.
  *  - Temporal state is double-buffered: the current frame's pyramid
  *    and per-level gradient images are built into `cur_*` and swapped
  *    with `prev_*` at frame end (pointer swaps, never copies).
@@ -66,8 +69,7 @@ struct FrameWorkspace
     Pyramid cur_pyramid, prev_pyramid;
     std::vector<Gradients> cur_gradients, prev_gradients;
     std::vector<KeyPoint> prev_keypoints;
-    FlowScratch flow;
-    std::vector<TemporalMatch> temporal;
+    std::vector<FlowScratch> flow; //!< one per lane
 
     size_t
     capacityBytes() const
@@ -79,8 +81,9 @@ struct FrameWorkspace
                    cur_pyramid.capacityBytes() +
                    prev_pyramid.capacityBytes() +
                    prev_keypoints.capacity() * sizeof(KeyPoint) +
-                   flow.capacityBytes() +
-                   temporal.capacity() * sizeof(TemporalMatch);
+                   flow.capacity() * sizeof(FlowScratch);
+        for (const FlowScratch &f : flow)
+            n += f.capacityBytes();
         for (const auto *grads : {&cur_gradients, &prev_gradients}) {
             n += grads->capacity() * sizeof(Gradients);
             for (const Gradients &g : *grads)

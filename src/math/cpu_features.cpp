@@ -1,7 +1,11 @@
 #include "math/cpu_features.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <thread>
+
+#include <sched.h>
 
 namespace edx {
 
@@ -106,6 +110,16 @@ simdTierSummary()
     }
     s += ")";
     return s;
+}
+
+int
+availableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return std::max(1, CPU_COUNT(&set));
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 } // namespace edx

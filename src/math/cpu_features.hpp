@@ -23,6 +23,9 @@
  * EDX_SIMD_LEVEL accepts "sse2" or "avx2" (case-insensitive); it can
  * only lower the tier below what the host and the build support, so
  * forcing "avx2" on an SSE2-only host falls back gracefully.
+ *
+ * availableCpus() is the other host fact the runtime sizes itself by:
+ * the pool's elastic worker bound and the frontend's lane count.
  */
 #pragma once
 
@@ -86,5 +89,12 @@ const char *simdTierName(SimdTier tier);
  * "sse2 (detected avx2, EDX_SIMD_LEVEL=sse2)".
  */
 std::string simdTierSummary();
+
+/**
+ * Number of CPUs this process may run on: its affinity mask, as
+ * `nproc` counts it (hardware_concurrency() when the mask cannot be
+ * read). Always at least 1.
+ */
+int availableCpus();
 
 } // namespace edx

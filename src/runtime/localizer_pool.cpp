@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "math/cpu_features.hpp"
+
 namespace edx {
 
 namespace {
@@ -64,10 +66,8 @@ LocalizerPool::LocalizerPool(const PoolConfig &cfg) : cfg_(cfg)
     min_workers_ = std::max(1, cfg_.reserved_workers + 1);
     max_workers_ = cfg_.workers;
     if (cfg_.elastic_workers) {
-        int hw = static_cast<int>(std::thread::hardware_concurrency());
-        if (hw < 1)
-            hw = 1;
-        max_workers_ = cfg_.max_workers > 0 ? cfg_.max_workers : hw;
+        max_workers_ =
+            cfg_.max_workers > 0 ? cfg_.max_workers : availableCpus();
         max_workers_ = std::max(max_workers_, cfg_.workers);
         if (cfg_.grow_wait_ms < 0.0)
             cfg_.grow_wait_ms = 0.0;
@@ -133,6 +133,9 @@ LocalizerPool::addSession(std::unique_ptr<Localizer> localizer,
     s->loc = std::move(localizer);
     s->cfg = session;
     s->stats.qos = session.qos;
+    // The pool's workers already take every core: a session's frontend
+    // runs on the worker that dispatched its frame alone.
+    s->loc->setFrontendLanes(1);
     if (cfg_.batch_solves)
         s->loc->setSolveHub(&hub_);
     if (cfg_.map_service && session.share_map)

@@ -13,7 +13,8 @@
  * frames and is processed by at most one worker at a time, so frames
  * of one session retain submission order (localizers are stateful and
  * order-sensitive) while different sessions run concurrently across
- * the worker pool.
+ * the worker pool. The workers already take every core, so addSession()
+ * pins each session's frontend to one lane (frontend/frontend.hpp).
  *
  * **QoS admission control.** Robots' frames matter unequally: a
  * safety-critical vehicle's pose must not be starved by a fleet of
@@ -112,8 +113,8 @@ struct PoolConfig
      */
     bool elastic_workers = false;
 
-    /** Elastic growth bound. 0 = std::thread::hardware_concurrency()
-     *  (never below `workers`). */
+    /** Elastic growth bound. 0 = availableCpus() (never below
+     *  `workers`). */
     int max_workers = 0;
 
     /** Elastic growth trigger: a dispatched frame that waited longer

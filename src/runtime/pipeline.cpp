@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "math/cpu_features.hpp"
 #include "runtime/replan.hpp"
 #include "runtime/telemetry.hpp"
 
@@ -98,19 +99,43 @@ FramePipeline::segmentsFor(const std::vector<int> &cuts)
     return segments;
 }
 
+int
+FramePipeline::frontendLanes(const std::vector<int> &cuts, int cpus)
+{
+    const int stages = static_cast<int>(cuts.size()) + 1;
+    // One CPU per stage thread and one for the producer and consumer
+    // around the pipeline; a single stage runs on the producer itself.
+    const int busy = stages == 1 ? 1 : stages + 1;
+    const int spare = std::max(0, cpus - busy);
+    // FE is node 0, so it always runs in the first stage; a cut before
+    // TM puts TM in another stage thread, running beside FE.
+    const bool fe_beside_tm =
+        !cuts.empty() && cuts.front() < static_cast<int>(PipeNode::Tm);
+    return (fe_beside_tm ? spare / 2 : spare) + 1;
+}
+
 FramePipeline::FramePipeline(Localizer &localizer,
                              const PipelineConfig &cfg)
     : loc_(localizer), cfg_(cfg)
 {
     std::vector<int> cuts = resolveTopology(cfg_.stages, cfg_.cuts);
     cfg_.stages = static_cast<int>(cuts.size()) + 1;
+    stats_.stages = cfg_.stages;
+    epochs_.push_back(spawnEpoch(std::move(cuts), 0));
+    current_ = epochs_.back().get();
+}
 
+std::unique_ptr<FramePipeline::Epoch>
+FramePipeline::spawnEpoch(std::vector<int> cuts, int index)
+{
     auto e = std::make_unique<Epoch>(cfg_.queue_capacity);
-    e->stages = cfg_.stages;
+    e->index = index;
+    e->stages = static_cast<int>(cuts.size()) + 1;
     e->cuts = std::move(cuts);
     e->segments = segmentsFor(e->cuts);
-    stats_.stages = e->stages;
-    current_ = e.get();
+    // Frames still in flight on a retiring epoch are unaffected: each
+    // frontend call reads the count once.
+    loc_.setFrontendLanes(frontendLanes(e->cuts, availableCpus()));
     if (e->stages > 1) {
         for (int i = 0; i + 1 < e->stages; ++i)
             e->stage_qs.push_back(std::make_unique<BoundedQueue<StageJob>>(
@@ -121,7 +146,7 @@ FramePipeline::FramePipeline(Localizer &localizer,
             e->workers.emplace_back(&FramePipeline::stageWorker, this,
                                     e.get(), s);
     }
-    epochs_.push_back(std::move(e));
+    return e;
 }
 
 FramePipeline::~FramePipeline() { close(); }
@@ -154,25 +179,9 @@ FramePipeline::installEpoch(std::vector<int> cuts)
         std::lock_guard<std::mutex> lk(epoch_m_);
         if (cuts == current_->cuts)
             return false;
-        auto e = std::make_unique<Epoch>(cfg_.queue_capacity);
-        e->index = ++epoch_counter_;
-        e->stages = stages;
-        e->cuts = std::move(cuts);
-        e->segments = segmentsFor(e->cuts);
-        if (e->stages > 1) {
-            for (int i = 0; i + 1 < e->stages; ++i)
-                e->stage_qs.push_back(
-                    std::make_unique<BoundedQueue<StageJob>>(
-                        cfg_.queue_capacity));
-            e->live_workers.store(e->stages);
-            e->workers.reserve(e->stages);
-            for (int s = 0; s < e->stages; ++s)
-                e->workers.emplace_back(&FramePipeline::stageWorker,
-                                        this, e.get(), s);
-        }
+        epochs_.push_back(spawnEpoch(std::move(cuts), ++epoch_counter_));
         retired = current_;
-        current_ = e.get();
-        epochs_.push_back(std::move(e));
+        current_ = epochs_.back().get();
 
         // Retire: the old epoch drains its admitted frames and its
         // workers exit; a producer parked on the full queue re-routes
@@ -382,7 +391,7 @@ void
 FramePipeline::executeSegment(Epoch &e, int stage, StageJob &job)
 {
     const auto [first, last] = e.segments[stage];
-    double fe_ms = 0.0, be_ms = 0.0;
+    double span_ms = 0.0;
     for (int node = first; node < last; ++node) {
         // The per-node sequence gate: frames execute each sub-stage
         // strictly in submission order, across epochs — during a cut
@@ -394,23 +403,15 @@ FramePipeline::executeSegment(Epoch &e, int stage, StageJob &job)
         // take and release their turn, or the gates would jam.
         waitNodeTurn(node, job.seq);
         if (job.valid) {
-            // Frontend/backend-side attribution per node, so the
-            // legacy two-sided busy split stays exact for segments
-            // that cross the TM | solve boundary (and for stages=1).
-            StageTimer timer(node <= static_cast<int>(PipeNode::Tm)
-                                 ? fe_ms
-                                 : be_ms);
+            StageTimer timer(span_ms);
             runNode(node, job);
         }
         advanceNodeTurn(node);
     }
-    const double span_ms = fe_ms + be_ms;
     job.stage_span_ms[stage] = span_ms;
     {
         std::lock_guard<std::mutex> lk(stats_m_);
         stats_.stage_busy_ms[stage] += span_ms;
-        stats_.frontend_busy_ms += fe_ms;
-        stats_.backend_busy_ms += be_ms;
         if (stage == 0)
             stats_.input_high_water =
                 std::max(stats_.input_high_water, e.in_q.highWater());
@@ -429,23 +430,7 @@ FramePipeline::finalizeJob(Epoch &e, StageJob &job)
         res.ok = false;
     }
     res.telemetry.pipeline_stages = e.stages;
-    double fe_side = 0.0, be_side = 0.0;
-    for (int s = 0; s < e.stages; ++s) {
-        res.telemetry.stage_span_ms[s] = job.stage_span_ms[s];
-        if (e.segments[s].first <= static_cast<int>(PipeNode::Tm))
-            fe_side += job.stage_span_ms[s];
-        else
-            be_side += job.stage_span_ms[s];
-    }
-    if (e.stages == 1) {
-        // Sequential topology: the stage spans are the block latencies
-        // themselves (nothing overlaps).
-        res.telemetry.frontend_stage_ms = res.frontendMs();
-        res.telemetry.backend_stage_ms = res.backendMs();
-    } else {
-        res.telemetry.frontend_stage_ms = fe_side;
-        res.telemetry.backend_stage_ms = be_side;
-    }
+    res.telemetry.stage_span_ms = job.stage_span_ms;
     if (job.has_offload) {
         res.telemetry.backend_offload = job.offload;
         res.telemetry.has_offload_decision = true;

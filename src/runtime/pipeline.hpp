@@ -50,6 +50,23 @@
  * proposal that clears its hysteresis margin is swapped in
  * automatically (the ROADMAP's self-repipelining item).
  *
+ * **Frontend lanes.** Each of N >= 2 stages is one thread, and the
+ * producer and consumer around the pipeline keep one more CPU, so an
+ * N-stage epoch leaves availableCpus() - N - 1 CPUs free. The FE and
+ * TM blocks each run on their stage's thread plus helper lanes on
+ * those free CPUs (frontend/frontend.hpp), and every epoch install
+ * sets the count (frontendLanes()). When one stage runs both blocks it
+ * gets them all, max(1, availableCpus() - N) lanes. When a cut
+ * separates FE from TM, FE of frame N+1 runs beside TM of frame N, so
+ * the two blocks split the free CPUs. A single stage runs inline on
+ * the producer and takes every CPU. A topology that already fills the
+ * host keeps one lane. Lanes never change what the frontend computes.
+ *
+ * The CPU left to the producer side is what keeps the pipeline steady:
+ * a block's lanes join on the slowest one, so with every CPU taken, a
+ * lane preempted by the producer, the consumer, the OS or a co-tenant
+ * of a virtual host stalls the whole block.
+ *
  * The offload scheduler (Sec. VI-B) plugs in at the TM -> solve
  * boundary: the decision for the backend kernel is computed from the
  * sizes the frontend just produced, per stage rather than at frame
@@ -172,8 +189,6 @@ struct PipelineStats
      *  Attributed by stage index within the frame's own epoch. */
     std::array<double, kPipelineNodes> stage_busy_ms{};
 
-    double frontend_busy_ms = 0.0; //!< busy total of frontend-side stages
-    double backend_busy_ms = 0.0;  //!< busy total of backend-side stages
     double wall_ms = 0.0;  //!< first submit -> last completion span
     size_t input_high_water = 0; //!< deepest input-queue backlog seen
 
@@ -255,6 +270,16 @@ class FramePipeline
 
     PipelineStats stats() const;
 
+    /**
+     * Frontend lanes of a cut list on @p cpus CPUs: the free CPUs
+     * (cpus minus one per stage thread and one for the producer side)
+     * plus the FE/TM stage's own thread, max(1, cpus - stages) for two
+     * or more stages and cpus for one. When a cut separates FE from TM
+     * the two blocks run at once on two stage threads and each gets
+     * half the free CPUs, max(0, cpus - stages - 1) / 2 + 1.
+     */
+    static int frontendLanes(const std::vector<int> &cuts, int cpus);
+
   private:
     /** A frame travelling between the stages. */
     struct StageJob
@@ -294,6 +319,10 @@ class FramePipeline
                                             const std::vector<int> &cuts);
     static std::vector<std::pair<int, int>>
     segmentsFor(const std::vector<int> &cuts);
+
+    /** Builds an epoch, starts its stage workers and sets the
+     *  session's frontend lanes for its topology. */
+    std::unique_ptr<Epoch> spawnEpoch(std::vector<int> cuts, int index);
 
     /** Builds, spawns and installs an epoch. Caller holds submit_m_. */
     bool installEpoch(std::vector<int> cuts);

@@ -14,9 +14,9 @@
  *    scheduler and the pipeline consume.
  *
  * The pipeline additionally stamps the *stage* spans (the wall time a
- * frame spent in the frontend stage and in the backend stage) and the
- * per-stage offload decision, which is computed at the frontend ->
- * backend boundary (Sec. VI-B) rather than at frame end.
+ * frame spent in each stage of its topology) and the per-stage offload
+ * decision, which is computed at the frontend -> backend boundary
+ * (Sec. VI-B) rather than at frame end.
  */
 #pragma once
 
@@ -129,10 +129,6 @@ struct FrameTelemetry
     MappingWorkload mapping_workload;
     double fusion_ms = 0.0;
 
-    // --- pipeline stage accounting (filled by FramePipeline) --------
-    double frontend_stage_ms = 0.0; //!< wall time in frontend-side stages
-    double backend_stage_ms = 0.0;  //!< wall time in backend-side stages
-
     /**
      * Pool QoS accounting (filled by LocalizerPool): wall time this
      * frame spent queued between admission and dispatch. Under
@@ -144,11 +140,9 @@ struct FrameTelemetry
 
     /**
      * Per-pipeline-stage wall time of this frame under the N-stage
-     * topology (first pipeline_stages entries valid). The steady-state
-     * pipelined frame interval is max over stages; frontend_stage_ms /
-     * backend_stage_ms above remain the two-sided sums (stages whose
-     * first sub-stage is frontend-side vs. backend-side) for the
-     * legacy 2-stage consumers.
+     * topology (first pipeline_stages entries valid; filled by
+     * FramePipeline). The steady-state pipelined frame interval is
+     * max over stages.
      */
     std::array<double, kPipelineNodes> stage_span_ms{};
     int pipeline_stages = 0;

@@ -116,16 +116,16 @@ Dataset::frame(int i) const
     f.t = frameTime(i);
     f.truth = traj_.poseAt(f.t);
 
-    const ScenarioTraits traits = scenarioTraits(cfg_.scene);
-    if (!traits.indoor) {
+    double gain = 1.0;
+    if (!scenarioTraits(cfg_.scene).indoor) {
         // Slow illumination drift over the run plus mild flicker: the
         // outdoor lighting variation the paper identifies as a source of
         // SLAM error (Sec. III).
         double drift = 1.0 + 0.22 * std::sin(2.0 * M_PI * f.t / 40.0);
         double flicker = 1.0 + 0.03 * std::sin(2.0 * M_PI * f.t * 1.7);
-        renderer_->config().lighting_gain = drift * flicker;
+        gain = drift * flicker;
     }
-    f.stereo = renderer_->render(world_, f.truth, i);
+    f.stereo = renderer_->render(world_, f.truth, i, gain);
     return f;
 }
 

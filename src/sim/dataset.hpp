@@ -69,7 +69,10 @@ class Dataset
     int frameCount() const { return cfg_.frame_count; }
     double framePeriod() const { return 1.0 / cfg_.fps; }
 
-    /** Renders frame @p i (deterministic; may be called repeatedly). */
+    /**
+     * Renders frame @p i (deterministic; may be called repeatedly and
+     * from several threads at once).
+     */
     DatasetFrame frame(int i) const;
 
     /** Ground-truth pose at frame @p i. */

@@ -26,8 +26,8 @@ StereoRenderer::StereoRenderer(const StereoRig &rig, const RenderConfig &cfg,
 
 void
 StereoRenderer::renderView(const World &world, const Pose &camera_from_world,
-                           double baseline_shift, ImageU8 &out,
-                           Rng &noise_rng, int *visible) const
+                           double baseline_shift, double lighting_gain,
+                           ImageU8 &out, Rng &noise_rng, int *visible) const
 {
     const CameraIntrinsics &cam = rig_.cam;
     out = ImageU8(cam.width, cam.height);
@@ -79,14 +79,14 @@ StereoRenderer::renderView(const World &world, const Pose &camera_from_world,
     if (visible)
         *visible = static_cast<int>(cmds.size());
 
-    if (cfg_.lighting_gain != 1.0)
-        scaleBrightness(out, cfg_.lighting_gain);
+    if (lighting_gain != 1.0)
+        scaleBrightness(out, lighting_gain);
     addPixelNoise(out, cfg_.pixel_noise_sigma, noise_rng);
 }
 
 StereoFrame
 StereoRenderer::render(const World &world, const Pose &world_from_body,
-                       int frame_index) const
+                       int frame_index, double lighting_gain) const
 {
     // camera_from_world = (world_from_body * body_from_camera)^-1
     Pose world_from_camera = world_from_body * rig_.body_from_camera;
@@ -94,10 +94,10 @@ StereoRenderer::render(const World &world, const Pose &world_from_body,
 
     StereoFrame f;
     Rng noise_rng(seed_ + 77777u * static_cast<uint64_t>(frame_index + 1));
-    renderView(world, camera_from_world, 0.0, f.left, noise_rng,
-               &f.visible_landmarks);
-    renderView(world, camera_from_world, rig_.baseline, f.right, noise_rng,
-               nullptr);
+    renderView(world, camera_from_world, 0.0, lighting_gain, f.left,
+               noise_rng, &f.visible_landmarks);
+    renderView(world, camera_from_world, rig_.baseline, lighting_gain,
+               f.right, noise_rng, nullptr);
     return f;
 }
 

@@ -31,7 +31,6 @@ struct RenderConfig
     double max_depth = 70.0;         //!< far clip, m
     int max_patch_half_size = 27;
     int min_patch_half_size = 2;
-    double lighting_gain = 1.0;      //!< global illumination scale
 };
 
 /** A rendered stereo pair. */
@@ -56,21 +55,20 @@ class StereoRenderer
 
     /**
      * Renders the world from the body pose @p world_from_body.
-     * @p frame_index decorrelates per-frame noise.
+     * @p frame_index decorrelates per-frame noise; @p lighting_gain
+     * scales the global illumination of this frame. Const and free of
+     * shared mutable state, so threads may render concurrently.
      */
     StereoFrame render(const World &world, const Pose &world_from_body,
-                       int frame_index) const;
+                       int frame_index, double lighting_gain = 1.0) const;
 
     const StereoRig &rig() const { return rig_; }
     const RenderConfig &config() const { return cfg_; }
 
-    /** Mutable render options (lighting schedule is set per frame). */
-    RenderConfig &config() { return cfg_; }
-
   private:
     void renderView(const World &world, const Pose &camera_from_world,
-                    double baseline_shift, ImageU8 &out, Rng &noise_rng,
-                    int *visible) const;
+                    double baseline_shift, double lighting_gain,
+                    ImageU8 &out, Rng &noise_rng, int *visible) const;
 
     StereoRig rig_;
     RenderConfig cfg_;

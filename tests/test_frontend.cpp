@@ -11,8 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "frontend/frontend.hpp"
+#include "frontend/lane_group.hpp"
 #include "sim/dataset.hpp"
 
 // --- global allocation counter ------------------------------------------
@@ -74,6 +78,50 @@ droneScene(int frames = 4)
     cfg.fps = 10.0;
     cfg.seed = 21;
     return cfg;
+}
+
+// --- LaneGroup ------------------------------------------------------------
+
+TEST(LaneGroup, RunsEveryTaskOnceOnDistinctLanes)
+{
+    // Lane counts grow and shrink between jobs, as an epoch swap
+    // changes them between frames.
+    LaneGroup group;
+    for (int lanes : {1, 3, 2, 4, 1}) {
+        const int tasks = 37;
+        std::vector<std::atomic<int>> runs(tasks);
+        std::vector<std::atomic<int>> busy(lanes);
+        std::atomic<bool> overlap{false};
+        group.run(lanes, tasks, [&](int t, int lane) {
+            ASSERT_GE(lane, 0);
+            ASSERT_LT(lane, lanes);
+            if (busy[lane].fetch_add(1) != 0)
+                overlap = true; // two calls on one lane at once
+            runs[t].fetch_add(1);
+            busy[lane].fetch_sub(1);
+        });
+        for (int t = 0; t < tasks; ++t)
+            EXPECT_EQ(runs[t].load(), 1) << lanes << " lanes, task " << t;
+        EXPECT_FALSE(overlap.load()) << lanes << " lanes";
+    }
+}
+
+TEST(LaneGroup, RethrowsATaskExceptionAfterTheJoin)
+{
+    LaneGroup group;
+    std::atomic<int> ran{0};
+    EXPECT_THROW(group.run(3, 64,
+                           [&](int t, int) {
+                               ran.fetch_add(1);
+                               if (t == 5)
+                                   throw std::runtime_error("task 5");
+                           }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 6);
+    // The group stays usable for the next job.
+    std::atomic<int> after{0};
+    group.run(3, 10, [&](int, int) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 10);
 }
 
 TEST(Frontend, KeypointsAndDescriptorsAreAligned)
@@ -363,22 +411,6 @@ TEST(Frontend, OptimizedPathMatchesReferencePath)
     }
 }
 
-TEST(Frontend, LanesTwoIsBitExactWithLanesOne)
-{
-    Dataset d(droneScene());
-    FrontendConfig two;
-    two.lanes = 2;
-    VisionFrontend seq, par(two);
-    for (int i = 0; i < 3; ++i) {
-        DatasetFrame f = d.frame(i);
-        FrontendOutput a = seq.processFrame(f.stereo.left, f.stereo.right);
-        FrontendOutput b = par.processFrame(f.stereo.left, f.stereo.right);
-        expectOutputsIdentical(a, b);
-        EXPECT_EQ(a.workload.stereo_candidates,
-                  b.workload.stereo_candidates);
-    }
-}
-
 TEST(Frontend, SteadyStateFramesAllocateNothing)
 {
     // Warm the workspace over the sequence once, reset (which keeps
@@ -406,28 +438,88 @@ TEST(Frontend, SteadyStateFramesAllocateNothing)
     EXPECT_EQ(fe.workspaceAllocationEvents(), warm_events);
 }
 
-TEST(Frontend, LanesTwoWorkspaceStaysAllocationFree)
+void
+expectProductsIdentical(const FrontendOutput &a, const FrontendOutput &b)
 {
-    // The strict global-counter assert only holds for lanes == 1 (the
-    // lane handshake itself is allocation-free but runs concurrently
-    // with gtest bookkeeping); for lanes == 2 the workspace event
-    // counter must still go quiet once warm.
-    Dataset d(droneScene());
-    std::vector<DatasetFrame> frames;
-    for (int i = 0; i < 4; ++i)
-        frames.push_back(d.frame(i));
+    expectOutputsIdentical(a, b);
+    EXPECT_EQ(a.workload.left_features, b.workload.left_features);
+    EXPECT_EQ(a.workload.right_features, b.workload.right_features);
+    EXPECT_EQ(a.workload.stereo_candidates, b.workload.stereo_candidates);
+    EXPECT_EQ(a.workload.stereo_matches, b.workload.stereo_matches);
+    EXPECT_EQ(a.workload.temporal_tracks, b.workload.temporal_tracks);
+}
 
-    FrontendConfig cfg;
-    cfg.lanes = 2;
-    VisionFrontend fe(cfg);
-    FrontendOutput out;
-    for (const DatasetFrame &f : frames)
-        fe.processFrameInto(f.stereo.left, f.stereo.right, out);
-    const size_t warm_events = fe.workspaceAllocationEvents();
-    fe.reset();
-    for (const DatasetFrame &f : frames)
-        fe.processFrameInto(f.stereo.left, f.stereo.right, out);
-    EXPECT_EQ(fe.workspaceAllocationEvents(), warm_events);
+TEST(Frontend, EveryLaneCountIsBitIdenticalToOneLane)
+{
+    // Lane counts are set explicitly, so the coverage does not depend
+    // on the runner's core count. Both the VGA drone and the 720p
+    // outdoor car scene, through the monolithic call and through the
+    // split FE/SM/TM calls with FE(N+1) on a second thread beside
+    // TM(N), as a pipeline with a cut after FE runs them.
+    DatasetConfig car;
+    car.scene = SceneType::OutdoorUnknown;
+    car.platform = Platform::Car;
+    car.frame_count = 4;
+    car.seed = 21;
+    for (const DatasetConfig &cfg : {droneScene(4), car}) {
+        Dataset d(cfg);
+        std::vector<DatasetFrame> frames;
+        for (int i = 0; i < d.frameCount(); ++i)
+            frames.push_back(d.frame(i));
+        const size_t n = frames.size();
+
+        VisionFrontend one;
+        one.setLanes(1);
+        std::vector<FrontendOutput> want(n);
+        for (size_t i = 0; i < n; ++i)
+            one.processFrameInto(frames[i].stereo.left,
+                                 frames[i].stereo.right, want[i]);
+
+        for (int lanes : {1, 2, 3, 4}) {
+            SCOPED_TRACE(std::to_string(frames[0].stereo.left.width()) +
+                         "px wide, " + std::to_string(lanes) + " lanes");
+            VisionFrontend fe;
+            fe.setLanes(lanes);
+            ASSERT_EQ(fe.lanes(), lanes);
+            FrontendOutput out;
+            for (size_t i = 0; i < n; ++i) {
+                fe.processFrameInto(frames[i].stereo.left,
+                                    frames[i].stereo.right, out);
+                expectProductsIdentical(want[i], out);
+            }
+            // Once warm, the same frames grow no workspace buffer.
+            const size_t warm_events = fe.workspaceAllocationEvents();
+            fe.reset();
+            for (const DatasetFrame &f : frames)
+                fe.processFrameInto(f.stereo.left, f.stereo.right, out);
+            EXPECT_EQ(fe.workspaceAllocationEvents(), warm_events);
+
+            VisionFrontend split;
+            split.setLanes(lanes);
+            std::vector<FrontendStageContext> ctx(n);
+            std::vector<FrontendOutput> got(n);
+            auto runFe = [&](size_t i) {
+                split.runFeStage(frames[i].stereo.left,
+                                 frames[i].stereo.right, ctx[i], got[i]);
+            };
+            runFe(0);
+            split.runSmStage(frames[0].stereo.left, frames[0].stereo.right,
+                             ctx[0], got[0]);
+            for (size_t i = 0; i < n; ++i) {
+                std::thread next([&] {
+                    if (i + 1 < n)
+                        runFe(i + 1);
+                });
+                split.runTmStage(frames[i].stereo.left, ctx[i], got[i]);
+                next.join();
+                if (i + 1 < n)
+                    split.runSmStage(frames[i + 1].stereo.left,
+                                     frames[i + 1].stereo.right,
+                                     ctx[i + 1], got[i + 1]);
+                expectProductsIdentical(want[i], got[i]);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "core/evaluation.hpp"
 #include "core/localizer.hpp"
 #include "math/blas.hpp"
+#include "math/cpu_features.hpp"
 #include "math/rng.hpp"
 #include "runtime/frame_queue.hpp"
 #include "runtime/localizer_pool.hpp"
@@ -548,6 +549,59 @@ TEST(FramePipeline, InvalidStageConfigsAreRejected)
     FramePipeline ok2(*loc, PipelineConfig{.cuts = {0, 2, 3}});
     EXPECT_EQ(ok2.config().stages, 4);
     ok2.close();
+}
+
+TEST(FramePipeline, FrontendLanesFollowTheExecutorRule)
+{
+    // The rule itself, on hosts of several widths: one CPU per stage
+    // thread and one for the producer side (a single stage runs on the
+    // producer), the free CPUs to FE/TM, split in two when a cut
+    // separates FE from TM (they then run at once on two stage threads).
+    EXPECT_EQ(FramePipeline::frontendLanes({}, 4), 4);
+    EXPECT_EQ(FramePipeline::frontendLanes({2}, 4), 2);
+    EXPECT_EQ(FramePipeline::frontendLanes({2}, 2), 1);
+    EXPECT_EQ(FramePipeline::frontendLanes({2, 3}, 8), 5);
+    EXPECT_EQ(FramePipeline::frontendLanes({0, 1, 2, 3}, 4), 1);
+    EXPECT_EQ(FramePipeline::frontendLanes({0, 1, 2, 3}, 1), 1);
+    EXPECT_EQ(FramePipeline::frontendLanes({1, 2}, 4), 1);
+    EXPECT_EQ(FramePipeline::frontendLanes({0, 2, 3}, 8), 2);
+    EXPECT_EQ(FramePipeline::frontendLanes({0, 1, 2, 3}, 16), 6);
+
+    // A bare localizer's frontend has every CPU; a pipeline sets the
+    // rule's count on every epoch swap; a pool session runs one lane
+    // beside the pool's workers.
+    const int cpus = availableCpus();
+    auto rule = [&](const std::vector<int> &cuts) {
+        return FramePipeline::frontendLanes(cuts, cpus);
+    };
+    TestRun r = makeRun(SceneType::OutdoorUnknown, 1);
+    Dataset d(r.dcfg);
+    auto loc = makeLocalizer(r, d);
+    EXPECT_EQ(loc->frontendLanes(), cpus);
+    {
+        PipelineConfig two;
+        two.stages = 2;
+        FramePipeline pipe(*loc, two);
+        EXPECT_EQ(loc->frontendLanes(), rule(pipe.cuts()));
+        EXPECT_EQ(loc->frontendLanes(), std::max(1, cpus - 2));
+        ASSERT_TRUE(pipe.swapCuts({0, 1, 2, 3}));
+        EXPECT_EQ(loc->frontendLanes(), rule({0, 1, 2, 3}));
+        ASSERT_TRUE(pipe.swapCuts({0, 2, 3}));
+        EXPECT_EQ(loc->frontendLanes(), rule({0, 2, 3}));
+        ASSERT_TRUE(pipe.swapCuts({2}));
+        EXPECT_EQ(loc->frontendLanes(), rule({2}));
+    }
+    {
+        PipelineConfig five;
+        five.cuts = {0, 1, 2, 3};
+        FramePipeline pipe(*loc, five);
+        EXPECT_EQ(loc->frontendLanes(), rule({0, 1, 2, 3}));
+    }
+    PoolConfig pcfg;
+    pcfg.workers = 1;
+    LocalizerPool pool(pcfg);
+    const int sid = pool.addSession(makeLocalizer(r, d));
+    EXPECT_EQ(pool.session(sid).frontendLanes(), 1);
 }
 
 TEST(FramePipeline, VioPosesMatchSequentialBitExact)

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "sim/dataset.hpp"
 #include "sim/renderer.hpp"
@@ -211,6 +214,34 @@ TEST(Dataset, FramesAreDeterministicAcrossInstances)
             ASSERT_EQ(fa.stereo.left.at(x, y), fb.stereo.left.at(x, y));
     EXPECT_NEAR((fa.truth.translation - fb.truth.translation).norm(), 0.0,
                 1e-15);
+}
+
+TEST(Dataset, ConcurrentOutdoorRendersMatchSequential)
+{
+    // Outdoor frames carry a per-frame lighting gain. It travels as a
+    // render() argument, so two threads sharing one Dataset render
+    // exactly the bytes a sequential caller gets.
+    const Dataset d(smallDrone(SceneType::OutdoorUnknown));
+    const int n = 8;
+    std::vector<DatasetFrame> seq;
+    for (int i = 0; i < n; ++i)
+        seq.push_back(d.frame(i));
+    std::vector<DatasetFrame> par(n);
+    auto every_other = [&](int first) {
+        for (int i = first; i < n; i += 2)
+            par[i] = d.frame(i);
+    };
+    std::thread even(every_other, 0), odd(every_other, 1);
+    even.join();
+    odd.join();
+    for (int i = 0; i < n; ++i)
+        for (auto eye : {&StereoFrame::left, &StereoFrame::right}) {
+            const ImageU8 &a = seq[i].stereo.*eye;
+            const ImageU8 &b = par[i].stereo.*eye;
+            ASSERT_EQ(a.pixelCount(), b.pixelCount());
+            EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.pixelCount()))
+                << "frame " << i;
+        }
 }
 
 TEST(Dataset, TruthMatchesTrajectory)
