@@ -4,8 +4,10 @@
  * overhaul against its retained scalar reference at MSCKF-realistic
  * sizes (state dim d ~ 195 = 15 + 6x30 clones, compression stacks of a
  * few hundred rows), plus the end-to-end MSCKF backend on a synthetic
- * steady-state VIO run — optimized workspace path vs the pre-overhaul
- * reference path.
+ * steady-state VIO run. The pre-overhaul MSCKF reference flow is
+ * retired: its row and the speedup over it are frozen rows of
+ * BENCH_reference.json (common/reference.hpp), printed with the commit
+ * they were measured at.
  *
  * Doubles as the CI perf smoke: when EDX_BACKEND_MS_CEILING is set
  * (milliseconds), the bench exits non-zero if the optimized MSCKF
@@ -18,6 +20,7 @@
 #include <unordered_map>
 
 #include "backend/msckf.hpp"
+#include "common/reference.hpp"
 #include "common/runner.hpp"
 #include "common/table.hpp"
 #include "math/blas.hpp"
@@ -122,7 +125,7 @@ addKernelRow(Table &t, const std::string &name, const std::string &shape,
  * the mean per-frame backend ms (propagate + update) once warm.
  */
 double
-msckfBackendMs(bool use_reference, int frames, bool float32 = false)
+msckfBackendMs(int frames, bool float32 = false)
 {
     Trajectory traj = Trajectory::drone(8.0, 40.0);
     StereoRig rig = platformRig(Platform::Drone);
@@ -147,7 +150,6 @@ msckfBackendMs(bool use_reference, int frames, bool float32 = false)
     };
 
     MsckfConfig cfg;
-    cfg.use_reference = use_reference;
     cfg.float32_covariance_update = float32;
     Msckf filter(rig, cfg);
     filter.initialize(traj.poseAt(0.0), 0.0, traj.velocityAt(0.0));
@@ -311,22 +313,26 @@ main()
     std::cout << "\n";
     Table e({"MSCKF backend path", "ms/frame (steady state)"});
     const int frames = benchFrames(40);
-    const double be_ref = msckfBackendMs(true, frames);
+    const FrozenRow be_ref =
+        frozenRow("bench_backend_kernels/msckf_reference_ms");
+    const FrozenRow be_speedup =
+        frozenRow("bench_backend_kernels/msckf_speedup");
     double be_sse2 = -1.0;
     if (hasAvx2()) {
         setSimdTier(SimdTier::kSse2);
-        be_sse2 = msckfBackendMs(false, frames);
+        be_sse2 = msckfBackendMs(frames);
         setSimdTier(SimdTier::kAvx2);
     }
-    const double be_opt = msckfBackendMs(false, frames);
-    const double be_f32 = msckfBackendMs(false, frames, true);
-    e.addRow({"reference kernels", fmt(be_ref, 2)});
+    const double be_opt = msckfBackendMs(frames);
+    const double be_f32 = msckfBackendMs(frames, true);
+    e.addRow({"reference kernels (frozen)", frozenCell(be_ref)});
     if (be_sse2 >= 0.0)
         e.addRow({"optimized workspace, sse2 tier", fmt(be_sse2, 2)});
     e.addRow({"optimized workspace", fmt(be_opt, 2)});
     e.addRow({"optimized + f32 covariance", fmt(be_f32, 2)});
-    e.addRow({"speedup", speedup(be_ref, be_opt)});
+    e.addRow({"speedup (frozen)", frozenCell(be_speedup, 2, "x")});
     e.print();
+    note(frozenNote(be_ref));
     note("steady state = clone window full (30 clones, d = 201); the "
          "optimized path is additionally zero-heap-alloc "
          "(test-enforced in tests/test_backend.cpp)");

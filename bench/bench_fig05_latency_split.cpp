@@ -7,15 +7,16 @@
  * in SLAM up to 83% in VIO); the backend has the higher RSD (most
  * pronounced in VIO: frontend 47.3% vs backend 81.1%).
  *
- * Each mode is run twice: once through the retained scalar reference
- * kernels (the "before" column — the straightforward per-call
- * formulation of the same algorithms, representative of the
- * pre-workspace frontend's cost though not bit-identical to it) and
- * once through the optimized workspace frontend, so the figure shows
+ * Each mode runs through the optimized workspace frontend. The
+ * "before" columns are the retired reference-kernel frontend (the
+ * straightforward per-call formulation of the same algorithms), frozen
+ * in BENCH_reference.json at the last commit that had it and printed
+ * with that commit (common/reference.hpp), so the figure still shows
  * how far the software kernel overhaul moved the frontend share.
  */
 #include <iostream>
 
+#include "common/reference.hpp"
 #include "common/runner.hpp"
 #include "common/table.hpp"
 #include "math/stats.hpp"
@@ -63,40 +64,47 @@ main()
         SceneType scene;
         BackendMode mode;
         const char *paper_fe_share;
+        const char *key; //!< row prefix in BENCH_reference.json
     };
     const std::vector<Case> cases = {
-        {SceneType::IndoorKnown, BackendMode::Registration, "~70%"},
-        {SceneType::OutdoorUnknown, BackendMode::Vio, "83%"},
-        {SceneType::IndoorUnknown, BackendMode::Slam, "55%"},
+        {SceneType::IndoorKnown, BackendMode::Registration, "~70%",
+         "bench_fig05_latency_split/registration"},
+        {SceneType::OutdoorUnknown, BackendMode::Vio, "83%",
+         "bench_fig05_latency_split/vio"},
+        {SceneType::IndoorUnknown, BackendMode::Slam, "55%",
+         "bench_fig05_latency_split/slam"},
     };
 
     Table t({"mode", "FE ms (before)", "FE ms (after)", "backend ms",
              "FE share (before)", "FE share (after)", "FE RSD %",
              "BE RSD %"});
+    std::string frozen_note;
     for (const Case &c : cases) {
+        const std::string key = c.key;
+        const FrozenRow before_ms = frozenRow(key + "/fe_ms_before");
+        const FrozenRow before_share =
+            frozenRow(key + "/fe_share_before");
+        frozen_note = frozenNote(before_ms);
+
         RunConfig cfg;
         cfg.scene = c.scene;
         cfg.frames = frames;
         cfg.force_mode = c.mode;
-
-        RunConfig before_cfg = cfg;
-        before_cfg.tune = [](LocalizerConfig &lc) {
-            lc.frontend.use_reference = true;
-        };
-        SplitStats before = runSplit(before_cfg);
         SplitStats after = runSplit(cfg);
 
-        t.addRow({modeName(c.mode), fmt(before.fe_ms), fmt(after.fe_ms),
-                  fmt(after.be_ms),
-                  vsPaper(before.share, c.paper_fe_share, 1) + " %",
+        t.addRow({modeName(c.mode), frozenCell(before_ms),
+                  fmt(after.fe_ms), fmt(after.be_ms),
+                  frozenCell(before_share, 1, " %") + " (paper: " +
+                      c.paper_fe_share + ")",
                   fmt(after.share, 1) + " %", fmt(after.fe_rsd, 1),
                   fmt(after.be_rsd, 1)});
     }
     t.print();
+    note(frozen_note);
 
     note("Paper claims: frontend dominates latency in all modes "
          "(55-83%); backend RSD exceeds frontend RSD. The 'before' "
-         "columns run the retained reference kernels; 'after' is the "
-         "optimized workspace frontend.");
+         "columns are the frozen reference-kernel frontend; 'after' is "
+         "the optimized workspace frontend.");
     return 0;
 }

@@ -6,9 +6,16 @@
  * Projection in registration, Kalman gain (with covariance/QR close
  * behind) in VIO, and the Solver + Marginalization pair in SLAM - and
  * those same kernels drive the variation (Sec. IV-B).
+ *
+ * Each figure ends with the software backend before and after the
+ * backend overhaul. The "before" number and its ratio are the retired
+ * reference-kernel backend, frozen in BENCH_reference.json at the last
+ * commit that had it and printed with that commit
+ * (common/reference.hpp); the ratio is frozen from the same trials.
  */
 #include <iostream>
 
+#include "common/reference.hpp"
 #include "common/runner.hpp"
 #include "common/table.hpp"
 #include "math/cpu_features.hpp"
@@ -41,24 +48,17 @@ printBreakdown(const std::string &title,
 }
 
 /**
- * Re-runs @p cfg with the retained reference kernels and prints the
- * before/after software-backend row (the overhaul's tracked speedup,
- * like fig20 does for the frontend).
+ * Prints the before/after software-backend lines: the frozen "before"
+ * row @p key of BENCH_reference.json with its frozen ratio, then the
+ * live optimized backend (the overhaul's tracked speedup, like fig20
+ * does for the frontend).
  */
 void
-printBeforeAfter(const RunConfig &cfg, const ModeRun &opt_run)
+printBeforeAfter(const RunConfig &cfg, const ModeRun &opt_run,
+                 const std::string &key)
 {
-    RunConfig ref_cfg = cfg;
-    auto base_tune = cfg.tune;
-    ref_cfg.tune = [base_tune](LocalizerConfig &lc) {
-        if (base_tune)
-            base_tune(lc);
-        lc.msckf.use_reference = true;
-        lc.mapping.use_reference = true;
-        lc.tracking.use_reference = true;
-    };
-    ModeRun ref_run = runLocalization(ref_cfg);
-    const double ref_ms = mean(ref_run.backendMs());
+    const FrozenRow ref_ms = frozenRow(key + "/before_ms");
+    const FrozenRow ref_x = frozenRow(key + "/before_over_after");
     const double opt_ms = mean(opt_run.backendMs());
     // Per-tier "after" number (when the startup tier is AVX2): the
     // optimized kernels once more with the dispatch forced to SSE2.
@@ -69,12 +69,15 @@ printBeforeAfter(const RunConfig &cfg, const ModeRun &opt_run)
         setSimdTier(SimdTier::kAvx2);
         sse2_ms = mean(sse2_run.backendMs());
     }
-    std::cout << "  software backend before/after the overhaul: "
-              << fmt(ref_ms, 2);
+    std::cout << "  software backend before the overhaul: "
+              << frozenCell(ref_ms) << " ms, "
+              << frozenCell(ref_x, 2, "x") << " over that commit's after run\n"
+              << "  software backend after the overhaul: ";
     if (sse2_ms >= 0.0)
-        std::cout << " -> " << fmt(sse2_ms, 2) << " (sse2 tier)";
-    std::cout << " -> " << fmt(opt_ms, 2) << " ms ("
-              << fmt(opt_ms > 0 ? ref_ms / opt_ms : 0.0, 2) << "x)\n\n";
+        std::cout << fmt(sse2_ms, 2) << " (sse2 tier) -> ";
+    std::cout << fmt(opt_ms, 2) << " ms\n";
+    note(frozenNote(ref_ms));
+    std::cout << "\n";
 }
 
 } // namespace
@@ -104,7 +107,8 @@ main()
                        {"Update", "Projection", "Match", "PoseOpt"}, s,
                        "Paper: Projection is the biggest contributor "
                        "and drives the variation.");
-        printBeforeAfter(cfg, run);
+        printBeforeAfter(cfg, run,
+                         "bench_fig06_08_backend_breakdown/fig6");
     }
 
     { // Fig. 7: VIO backend.
@@ -128,7 +132,8 @@ main()
             s,
             "Paper: Kalman gain is the biggest contributor (~33% of "
             "VIO backend) and drives the variation.");
-        printBeforeAfter(cfg, run);
+        printBeforeAfter(cfg, run,
+                         "bench_fig06_08_backend_breakdown/fig7");
     }
 
     { // Fig. 8: SLAM backend.
@@ -152,7 +157,8 @@ main()
                        s,
                        "Paper: the Solver dominates the mean; "
                        "Marginalization dominates the variation.");
-        printBeforeAfter(cfg, run);
+        printBeforeAfter(cfg, run,
+                         "bench_fig06_08_backend_breakdown/fig8");
     }
     return 0;
 }

@@ -11,16 +11,19 @@
  * bottleneck.
  *
  * The software baseline is reported before and after the frontend
- * kernel overhaul (retained reference kernels vs optimized workspace
- * frontend), so the accelerator speedup is measured against an
- * honestly optimized software pipeline. The accelerator model's
- * workload inputs (pixels, features, all-pairs MO candidates) are
- * identical in both runs, so the modeled accelerator latency is
- * unchanged by the software optimization.
+ * kernel overhaul, so the accelerator speedup is measured against an
+ * honestly optimized software pipeline. The "before" rows are the
+ * retired reference-kernel frontend, frozen in BENCH_reference.json at
+ * the last commit that had it and printed with that commit
+ * (common/reference.hpp); the ratios against it are frozen from the
+ * same trials. The accelerator model's workload inputs (pixels,
+ * features, all-pairs MO candidates) do not depend on the software
+ * kernels, so the modeled accelerator latency is the same either way.
  */
 #include <iostream>
 
 #include "common/accel_model.hpp"
+#include "common/reference.hpp"
 #include "common/runner.hpp"
 #include "common/table.hpp"
 #include "math/cpu_features.hpp"
@@ -33,10 +36,14 @@ namespace {
 
 void
 platformReport(Platform platform, const AcceleratorConfig &acfg,
-               const std::string &paper_speedup)
+               const std::string &paper_speedup, const std::string &key)
 {
     const int frames =
         benchFrames(platform == Platform::Car ? 60 : 150);
+    const FrozenRow sw_ref = frozenRow(key + "/sw_ms_before");
+    const FrozenRow kernel_speedup =
+        frozenRow(key + "/sw_kernel_speedup");
+    const FrozenRow accel_vs_ref = frozenRow(key + "/accel_speedup_vs_before");
 
     // The frontend is mode-independent; any scenario exercises it.
     RunConfig cfg;
@@ -44,12 +51,6 @@ platformReport(Platform platform, const AcceleratorConfig &acfg,
     cfg.platform = platform;
     cfg.frames = frames;
     ModeRun run = runLocalization(cfg);
-
-    RunConfig ref_cfg = cfg;
-    ref_cfg.tune = [](LocalizerConfig &lc) {
-        lc.frontend.use_reference = true;
-    };
-    ModeRun ref_run = runLocalization(ref_cfg);
 
     // The optimized frontend once more on the SSE2 tier (when the
     // startup tier is AVX2), so the table carries one row per SIMD
@@ -66,7 +67,7 @@ platformReport(Platform platform, const AcceleratorConfig &acfg,
     }
 
     FrontendAccelerator accel(acfg);
-    std::vector<double> sw, sw_ref, fe, sm, acc_total, acc_piped;
+    std::vector<double> sw, fe, sm, acc_total, acc_piped;
     for (const FrameRecord &f : run.frames) {
         sw.push_back(f.res.frontendMs());
         FrontendAccelTiming t =
@@ -76,26 +77,24 @@ platformReport(Platform platform, const AcceleratorConfig &acfg,
         acc_total.push_back(t.latencyMs());
         acc_piped.push_back(1000.0 / t.pipelinedFps());
     }
-    for (const FrameRecord &f : ref_run.frames)
-        sw_ref.push_back(f.res.frontendMs());
 
     std::cout << acfg.name << "\n";
     Table t({"metric", "value"});
-    t.addRow({"software frontend ms (before: reference kernels)",
-              fmt(mean(sw_ref), 1)});
+    t.addRow({"software frontend ms (before: reference kernels, frozen)",
+              frozenCell(sw_ref, 1)});
     if (sw_sse2 >= 0.0)
         t.addRow({"software frontend ms (after: optimized, sse2 tier)",
                   fmt(sw_sse2, 1)});
     t.addRow({"software frontend ms (after: optimized)",
               fmt(mean(sw), 1)});
-    t.addRow({"software kernel speedup",
-              fmt(mean(sw_ref) / mean(sw), 2) + "x"});
+    t.addRow({"software kernel speedup (frozen)",
+              frozenCell(kernel_speedup, 2, "x")});
     t.addRow({"accel FE block ms", fmt(mean(fe), 1)});
     t.addRow({"accel SM block ms", fmt(mean(sm), 1)});
     t.addRow({"accel frontend ms", fmt(mean(acc_total), 1)});
-    t.addRow({"accel speedup vs reference sw",
-              vsPaper(mean(sw_ref) / mean(acc_total), paper_speedup) +
-                  "x"});
+    t.addRow({"accel speedup vs reference sw (frozen)",
+              frozenCell(accel_vs_ref, 2, "x") + " (paper: " +
+                  paper_speedup + ")"});
     t.addRow({"accel speedup vs optimized sw",
               fmt(mean(sw) / mean(acc_total), 2) + "x"});
     t.addRow({"frontend FPS w/o FE||SM pipelining",
@@ -103,6 +102,7 @@ platformReport(Platform platform, const AcceleratorConfig &acfg,
     t.addRow({"frontend FPS w/ FE||SM pipelining",
               fmt(1000.0 / mean(acc_piped), 1)});
     t.print();
+    note(frozenNote(sw_ref));
     note("SM dominates the accelerated frontend (paper Sec. VII-D), "
          "which is why FE hardware is time-shared across the stereo "
          "pair.");
@@ -116,8 +116,10 @@ main()
 {
     banner("Fig. 20", "frontend latency split and pipelining throughput");
     note("SIMD tier: " + simdTierSummary());
-    platformReport(Platform::Car, AcceleratorConfig::car(), "2.2x");
-    platformReport(Platform::Drone, AcceleratorConfig::drone(), "2.2x");
+    platformReport(Platform::Car, AcceleratorConfig::car(), "2.2x",
+                   "bench_fig20_frontend/car");
+    platformReport(Platform::Drone, AcceleratorConfig::drone(), "2.2x",
+                   "bench_fig20_frontend/drone");
     note("Paper claims: 2.2x frontend speedup; pipelining lifts "
          "frontend FPS above the end-to-end system FPS. The paper's "
          "software baseline maps to the reference-kernel rows; the "

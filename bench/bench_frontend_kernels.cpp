@@ -3,7 +3,10 @@
  * Frontend kernel micro-bench: every optimized kernel against its
  * retained scalar reference on a synthetic 640x480 stereo scene, plus
  * the end-to-end frontend at 1 lane, 2 lanes and the lane count a bare
- * frontend derives (availableCpus()), and the reference path.
+ * frontend derives (availableCpus()). The end-to-end reference path is
+ * retired: its row and the 1-lane speedup over it are frozen rows of
+ * BENCH_reference.json (common/reference.hpp), printed with the commit
+ * they were measured at.
  *
  * Doubles as the CI perf smoke: when EDX_FRONTEND_MS_CEILING is set
  * (milliseconds), the bench exits non-zero if the optimized 1-lane
@@ -16,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/reference.hpp"
 #include "common/runner.hpp"
 #include "common/table.hpp"
 #include "features/fast.hpp"
@@ -197,7 +201,7 @@ main()
                  });
 
     // TM: pyramidal LK — reference recomputes gradients per call, the
-    // workspace path samples per-level cached Scharr images.
+    // workspace path samples per-level cached gradient images.
     Pyramid prev_pyr(s.left, 3), next_pyr(s.next, 3);
     std::vector<Gradients> grads(prev_pyr.levels());
     FlowConfig flow;
@@ -219,6 +223,10 @@ main()
 
     // --- end-to-end frontend ---------------------------------------------
     std::cout << "\n";
+    const FrozenRow ref_ms =
+        frozenRow("bench_frontend_kernels/reference_ms");
+    const FrozenRow ref_speedup =
+        frozenRow("bench_frontend_kernels/speedup_1_lane");
     Table e({"frontend path", "ms/frame"});
     auto runFrontendLoop = [&](const FrontendConfig &cfg, int lanes) {
         VisionFrontend fe(cfg);
@@ -230,9 +238,6 @@ main()
             fe.processFrameInto(s.next, s.right, out);
         }) / 2.0;
     };
-    FrontendConfig ref_cfg;
-    ref_cfg.use_reference = true;
-    const double fe_ref = runFrontendLoop(ref_cfg, 1);
     double fe_sse2 = -1.0;
     if (hasAvx2()) {
         setSimdTier(SimdTier::kSse2);
@@ -243,7 +248,7 @@ main()
     const double fe_two = runFrontendLoop(FrontendConfig{}, 2);
     const int derived = availableCpus();
     const double fe_derived = runFrontendLoop(FrontendConfig{}, derived);
-    e.addRow({"reference kernels", fmt(fe_ref, 2)});
+    e.addRow({"reference kernels (frozen)", frozenCell(ref_ms)});
     if (fe_sse2 >= 0.0)
         e.addRow({"optimized, 1 lane, sse2 tier", fmt(fe_sse2, 2)});
     e.addRow({"optimized, 1 lane (gated)", fmt(fe_opt, 2)});
@@ -251,8 +256,10 @@ main()
     e.addRow({"optimized, " + std::to_string(derived) +
                   " lanes (derived: available CPUs)",
               fmt(fe_derived, 2)});
-    e.addRow({"kernel speedup (1 lane)", speedup(fe_ref, fe_opt)});
+    e.addRow({"kernel speedup (1 lane, frozen)",
+              frozenCell(ref_speedup, 2, "x")});
     e.print();
+    note(frozenNote(ref_ms));
 
     if (const char *ceiling = std::getenv("EDX_FRONTEND_MS_CEILING")) {
         const double limit = std::atof(ceiling);

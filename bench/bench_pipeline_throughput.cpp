@@ -392,8 +392,8 @@ qosReport(const SessionAssets &assets, int frames)
                   << " uncontended = " << fmt(ratio, 2)
                   << "x (target >= 0.9x)\n";
         std::cout << "    adaptation: " << load.stats.replans
-                  << " replan tick(s), " << load.stats.swaps_applied
-                  << " plan update(s), " << load.stats.swaps_rejected
+                  << " replan tick(s), " << load.stats.plan_updates
+                  << " plan update(s), " << load.stats.plans_held
                   << " held by hysteresis\n";
         std::cout << "    session        class             sub  done "
                      "drop(old) drop(ddl)  wait mean/max ms\n";

@@ -247,29 +247,22 @@ Mapper::localBundleAdjustment(MappingTiming &timing,
     double lambda = 1e-3;
     double cost = evalCost();
 
-    // Block-sparse W storage of the optimized Schur path: each
-    // landmark keeps only the 6x3 coupling blocks of the poses that
-    // actually observe it (the dense Hpl of the reference path is
+    // Block-sparse W storage: each landmark keeps only the 6x3 coupling
+    // blocks of the poses that actually observe it (a dense Hpl would be
     // almost entirely structural zeros).
     struct WBlock
     {
         int pose_slot;
         Mat<6, 3> w;
     };
-    std::vector<std::vector<WBlock>> lm_blocks;
+    std::vector<std::vector<WBlock>> lm_blocks(nl);
     std::vector<Mat<6, 3>> tbuf;
-    if (!cfg_.use_reference)
-        lm_blocks.resize(nl);
 
     for (int it = 0; it < cfg_.lm_iterations; ++it) {
         // Build the normal equations in Schur form.
         MatX hpp(6 * np, 6 * np);
-        MatX hpl;
-        if (cfg_.use_reference)
-            hpl = MatX(6 * np, 3 * nl);
-        else
-            for (auto &blocks : lm_blocks)
-                blocks.clear();
+        for (auto &blocks : lm_blocks)
+            blocks.clear();
         std::vector<Mat3> hll(nl);
         VecX bp(6 * np), bl(3 * nl);
 
@@ -310,23 +303,17 @@ Mapper::localBundleAdjustment(MappingTiming &timing,
                         wblk(a, b) =
                             w * (lin.j_pose(0, a) * lin.j_lm(0, b) +
                                  lin.j_pose(1, a) * lin.j_lm(1, b));
-                if (cfg_.use_reference) {
-                    for (int a = 0; a < 6; ++a)
-                        for (int b = 0; b < 3; ++b)
-                            hpl(pc + a, 3 * o.lm_slot + b) += wblk(a, b);
-                } else {
-                    auto &blocks = lm_blocks[o.lm_slot];
-                    bool merged = false;
-                    for (WBlock &e : blocks) {
-                        if (e.pose_slot == o.pose_slot) {
-                            e.w += wblk;
-                            merged = true;
-                            break;
-                        }
+                auto &blocks = lm_blocks[o.lm_slot];
+                bool merged = false;
+                for (WBlock &e : blocks) {
+                    if (e.pose_slot == o.pose_slot) {
+                        e.w += wblk;
+                        merged = true;
+                        break;
                     }
-                    if (!merged)
-                        blocks.push_back({o.pose_slot, wblk});
                 }
+                if (!merged)
+                    blocks.push_back({o.pose_slot, wblk});
             }
         }
 
@@ -366,71 +353,35 @@ Mapper::localBundleAdjustment(MappingTiming &timing,
 
         MatX s = hpp;
         VecX rhs = bp;
-        if (cfg_.use_reference) {
-            // Dense path (pre-overhaul): walk every row of Hpl per
-            // landmark, relying on zero-skips.
-            for (int l = 0; l < nl; ++l) {
-                for (int i = 0; i < 6 * np; ++i) {
-                    double w0 = hpl(i, 3 * l);
-                    double w1 = hpl(i, 3 * l + 1);
-                    double w2 = hpl(i, 3 * l + 2);
-                    if (w0 == 0.0 && w1 == 0.0 && w2 == 0.0)
-                        continue;
-                    double t0c = w0 * hll_inv[l](0, 0) +
-                                 w1 * hll_inv[l](1, 0) +
-                                 w2 * hll_inv[l](2, 0);
-                    double t1c = w0 * hll_inv[l](0, 1) +
-                                 w1 * hll_inv[l](1, 1) +
-                                 w2 * hll_inv[l](2, 1);
-                    double t2c = w0 * hll_inv[l](0, 2) +
-                                 w1 * hll_inv[l](1, 2) +
-                                 w2 * hll_inv[l](2, 2);
-                    rhs[i] -= t0c * bl[3 * l] + t1c * bl[3 * l + 1] +
-                              t2c * bl[3 * l + 2];
-                    for (int j = 0; j < 6 * np; ++j) {
-                        double v = t0c * hpl(j, 3 * l) +
-                                   t1c * hpl(j, 3 * l + 1) +
-                                   t2c * hpl(j, 3 * l + 2);
-                        if (v != 0.0)
-                            s(i, j) -= v;
-                    }
+        // Per landmark, only the observing pose pairs contribute: 6x6
+        // dense blocks into the lower triangle, mirrored once at the end.
+        for (int l = 0; l < nl; ++l) {
+            const auto &blocks = lm_blocks[l];
+            if (blocks.empty())
+                continue;
+            const Mat3 &inv = hll_inv[l];
+            const Vec3 bl_l{bl[3 * l], bl[3 * l + 1], bl[3 * l + 2]};
+            tbuf.resize(blocks.size());
+            for (size_t e = 0; e < blocks.size(); ++e)
+                tbuf[e] = blocks[e].w * inv;
+            for (size_t a = 0; a < blocks.size(); ++a) {
+                const int pa = blocks[a].pose_slot;
+                const Vec<6> rv = tbuf[a] * bl_l;
+                for (int k = 0; k < 6; ++k)
+                    rhs[6 * pa + k] -= rv[k];
+                for (size_t b = 0; b < blocks.size(); ++b) {
+                    const int pb = blocks[b].pose_slot;
+                    if (pa < pb)
+                        continue; // lower triangle only
+                    const Mat<3, 6> wbt = blocks[b].w.transpose();
+                    const Mat<6, 6> m = tbuf[a] * wbt;
+                    for (int x = 0; x < 6; ++x)
+                        for (int y = 0; y < 6; ++y)
+                            s(6 * pa + x, 6 * pb + y) -= m(x, y);
                 }
             }
-            s.makeSymmetric();
-        } else {
-            // Block-sparse path: per landmark, only the observing pose
-            // pairs contribute — 6x6 dense blocks into the lower
-            // triangle, mirrored once at the end (the J·P·Jᵀ-style
-            // triangle-only contract of the backend overhaul).
-            for (int l = 0; l < nl; ++l) {
-                const auto &blocks = lm_blocks[l];
-                if (blocks.empty())
-                    continue;
-                const Mat3 &inv = hll_inv[l];
-                const Vec3 bl_l{bl[3 * l], bl[3 * l + 1],
-                                bl[3 * l + 2]};
-                tbuf.resize(blocks.size());
-                for (size_t e = 0; e < blocks.size(); ++e)
-                    tbuf[e] = blocks[e].w * inv;
-                for (size_t a = 0; a < blocks.size(); ++a) {
-                    const int pa = blocks[a].pose_slot;
-                    const Vec<6> rv = tbuf[a] * bl_l;
-                    for (int k = 0; k < 6; ++k)
-                        rhs[6 * pa + k] -= rv[k];
-                    for (size_t b = 0; b < blocks.size(); ++b) {
-                        const int pb = blocks[b].pose_slot;
-                        if (pa < pb)
-                            continue; // lower triangle only
-                        const Mat<3, 6> wbt = blocks[b].w.transpose();
-                        const Mat<6, 6> m = tbuf[a] * wbt;
-                        for (int x = 0; x < 6; ++x)
-                            for (int y = 0; y < 6; ++y)
-                                s(6 * pa + x, 6 * pb + y) -= m(x, y);
-                    }
-                }
-            }
-            s.mirrorLowerToUpper();
         }
+        s.mirrorLowerToUpper();
 
         auto dp = solveSpd(s, rhs * -1.0);
         if (!dp) {
@@ -442,23 +393,12 @@ Mapper::localBundleAdjustment(MappingTiming &timing,
         std::vector<Vec3> dl(nl);
         for (int l = 0; l < nl; ++l) {
             Vec3 acc{-bl[3 * l], -bl[3 * l + 1], -bl[3 * l + 2]};
-            if (cfg_.use_reference) {
-                for (int i = 0; i < 6 * np; ++i) {
-                    double d = (*dp)[i];
-                    if (d == 0.0)
-                        continue;
-                    acc[0] -= hpl(i, 3 * l) * d;
-                    acc[1] -= hpl(i, 3 * l + 1) * d;
-                    acc[2] -= hpl(i, 3 * l + 2) * d;
-                }
-            } else {
-                for (const WBlock &e : lm_blocks[l]) {
-                    Vec<6> dp_seg;
-                    for (int k = 0; k < 6; ++k)
-                        dp_seg[k] = (*dp)[6 * e.pose_slot + k];
-                    const Vec3 c = e.w.transpose() * dp_seg;
-                    acc -= c;
-                }
+            for (const WBlock &e : lm_blocks[l]) {
+                Vec<6> dp_seg;
+                for (int k = 0; k < 6; ++k)
+                    dp_seg[k] = (*dp)[6 * e.pose_slot + k];
+                const Vec3 c = e.w.transpose() * dp_seg;
+                acc -= c;
             }
             dl[l] = hll_inv[l] * acc;
         }
@@ -519,7 +459,7 @@ Mapper::computeMarginalization(MappingTiming &timing,
     const int nm = static_cast<int>(marg_lms.size());
     workload.marginalized_landmarks = nm;
 
-    if (nm > 0 && !cfg_.use_reference) {
+    if (nm > 0) {
         // Structure-exploiting elimination (the specialized inversion
         // hardware of Sec. VI-A: "diagonal reciprocals" for the
         // landmark block plus a dense 6x6 core). The system over
@@ -583,8 +523,8 @@ Mapper::computeMarginalization(MappingTiming &timing,
         accumulate(old_kf, true);
         accumulate(next_kf, false);
 
-        // Stage 1: eliminate the landmark block (Tikhonov-guarded,
-        // matching the dense path's diagonal guard).
+        // Stage 1: eliminate the landmark block (Tikhonov-guarded: 1e-6
+        // on every diagonal, the old pose's included).
         Mat<6, 6> dmr = Mat<6, 6>::zero(); // old-next coupling (fill-in)
         for (int l = 0; l < nm; ++l) {
             Mat3 g = hll[l];
@@ -643,82 +583,6 @@ Mapper::computeMarginalization(MappingTiming &timing,
                     acc -= dmr(k, x) * sol(k, 6);
                 b_new[x] = acc;
             }
-            pending_.marg_solved = true;
-            pending_.prior_kf = next_kf;
-            pending_.prior_h = h_new;
-            pending_.prior_b = b_new;
-        }
-    } else if (nm > 0) {
-        // Reference path (pre-overhaul): dense Amm assembly + LU.
-        const int m_dim = 3 * nm + 6; // landmarks + old pose
-        const int r_dim = 6;          // next-oldest pose
-        MatX a(m_dim + r_dim, m_dim + r_dim);
-        VecX b(m_dim + r_dim);
-
-        auto accumulate = [&](int kf_id, int pose_col) {
-            const Keyframe &kf = map_.keyframes()[kf_id];
-            for (int lm : marg_lms) {
-                for (const LandmarkObs &o : observations_[lm]) {
-                    if (o.keyframe_id != kf_id)
-                        continue;
-                    const KeyPoint &kp = kf.keypoints[o.keypoint_index];
-                    ObsLinearization lin = linearizeObs(
-                        kf.pose, map_.points()[lm].position,
-                        Vec2{kp.x, kp.y}, rig_, cfg_.huber_px);
-                    if (!lin.valid)
-                        continue;
-                    const double w =
-                        lin.weight /
-                        (cfg_.pixel_sigma * cfg_.pixel_sigma);
-                    const int lc = 3 * lm_slot[lm];
-                    for (int x = 0; x < 3; ++x) {
-                        for (int y = 0; y < 3; ++y)
-                            a(lc + x, lc + y) +=
-                                w * (lin.j_lm(0, x) * lin.j_lm(0, y) +
-                                     lin.j_lm(1, x) * lin.j_lm(1, y));
-                        b[lc + x] += w * (lin.j_lm(0, x) * lin.r[0] +
-                                          lin.j_lm(1, x) * lin.r[1]);
-                        for (int y = 0; y < 6; ++y) {
-                            double v =
-                                w * (lin.j_lm(0, x) * lin.j_pose(0, y) +
-                                     lin.j_lm(1, x) * lin.j_pose(1, y));
-                            a(lc + x, pose_col + y) += v;
-                            a(pose_col + y, lc + x) += v;
-                        }
-                    }
-                    for (int x = 0; x < 6; ++x) {
-                        for (int y = 0; y < 6; ++y)
-                            a(pose_col + x, pose_col + y) +=
-                                w * (lin.j_pose(0, x) * lin.j_pose(0, y) +
-                                     lin.j_pose(1, x) * lin.j_pose(1, y));
-                        b[pose_col + x] +=
-                            w * (lin.j_pose(0, x) * lin.r[0] +
-                                 lin.j_pose(1, x) * lin.r[1]);
-                    }
-                }
-            }
-        };
-        accumulate(old_kf, 3 * nm);      // old pose: inside Amm
-        accumulate(next_kf, 3 * nm + 6); // next pose: remaining state
-
-        MatX amm = a.block(0, 0, m_dim, m_dim);
-        MatX amr = a.block(0, m_dim, m_dim, r_dim);
-        MatX arr = a.block(m_dim, m_dim, r_dim, r_dim);
-        VecX bm(m_dim), br(r_dim);
-        for (int i = 0; i < m_dim; ++i)
-            bm[i] = b[i];
-        for (int i = 0; i < r_dim; ++i)
-            br[i] = b[m_dim + i];
-
-        for (int i = 0; i < m_dim; ++i)
-            amm(i, i) += 1e-6; // Tikhonov guard for unconstrained states
-
-        PartialPivLU lu(amm);
-        if (lu.ok()) {
-            MatX amm_inv_amr = lu.solve(amr);
-            VecX amm_inv_bm = lu.solve(bm);
-            MatX h_new = arr - amr.transpose() * amm_inv_amr;
-            VecX b_new = br - amr.transpose() * amm_inv_bm;
             pending_.marg_solved = true;
             pending_.prior_kf = next_kf;
             pending_.prior_h = h_new;

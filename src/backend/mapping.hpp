@@ -51,13 +51,6 @@ struct MappingConfig
     double loop_min_score = 0.04;
     int loop_min_gap = 25;       //!< keyframes between loop candidates
     int loop_min_matches = 15;
-
-    /**
-     * Routes the local-BA Schur complement and marginalization through
-     * the retained scalar reference kernels and the pre-overhaul dense
-     * Hpl flow (the "before" baseline of the backend figure benches).
-     */
-    bool use_reference = false;
 };
 
 /** Wall-clock latency of the SLAM kernels, ms (Fig. 8 categories). */

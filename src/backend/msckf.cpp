@@ -87,76 +87,43 @@ Msckf::propagateOne(const ImuSample &s, double dt)
     const double qa = cfg_.accel_sigma * cfg_.accel_sigma * dt;
     const double qba = cfg_.accel_bias_sigma * cfg_.accel_bias_sigma * dt;
 
-    if (cfg_.use_reference) {
-        // Pre-overhaul path: allocating block ops, full symmetrize.
-        MatX q = MatX(15, 15);
-        for (int i = 0; i < 3; ++i) {
-            q(i, i) = qg;
-            q(3 + i, 3 + i) = qbg;
-            q(6 + i, 6 + i) = qa;
-            q(9 + i, 9 + i) = qba;
-            q(12 + i, 12 + i) = qa * dt * dt;
-        }
-        MatX p_ii = cov_.block(0, 0, 15, 15);
-        MatX ap;
-        gemmReference(a_imu, p_ii, ap);
-        MatX at = a_imu.transpose();
-        MatX apat;
-        gemmReference(ap, at, apat);
-        cov_.setBlock(0, 0, apat + q);
-        if (d > 15) {
-            MatX p_ic = cov_.block(0, 15, 15, d - 15);
-            MatX new_ic;
-            gemmReference(a_imu, p_ic, new_ic);
-            cov_.setBlock(0, 15, new_ic);
-            cov_.setBlock(15, 0, new_ic.transpose());
-        }
-        cov_.makeSymmetric();
-    } else {
-        // Workspace path: the IMU block goes through the symmetric
-        // sandwich (exact-symmetric by construction), the cross strip
-        // through one GEMM with an in-place transpose mirror. The
-        // covariance stays exactly symmetric, so the former per-sample
-        // O(d^2) makeSymmetric() pass is gone.
+    // The IMU block goes through the symmetric sandwich (exact-symmetric
+    // by construction), the cross strip through one GEMM with an
+    // in-place transpose mirror. The covariance stays exactly
+    // symmetric, so no per-sample O(d^2) symmetrize pass is needed.
+    for (int i = 0; i < 15; ++i) {
+        const double *src = cov_.data() + static_cast<size_t>(i) * d;
+        double *dst = ws_.p_ii.data() + static_cast<size_t>(i) * 15;
+        std::memcpy(dst, src, sizeof(double) * 15);
+    }
+    symmetricSandwichInto(a_imu, ws_.p_ii, ws_.ap, ws_.s_ii);
+    for (int i = 0; i < 3; ++i) {
+        ws_.s_ii(i, i) += qg;
+        ws_.s_ii(3 + i, 3 + i) += qbg;
+        ws_.s_ii(6 + i, 6 + i) += qa;
+        ws_.s_ii(9 + i, 9 + i) += qba;
+        ws_.s_ii(12 + i, 12 + i) += qa * dt * dt;
+    }
+    for (int i = 0; i < 15; ++i) {
+        const double *src = ws_.s_ii.data() + static_cast<size_t>(i) * 15;
+        double *dst = cov_.data() + static_cast<size_t>(i) * d;
+        std::memcpy(dst, src, sizeof(double) * 15);
+    }
+    if (d > 15) {
+        const int dc = d - 15;
+        ws_.p_ic.resize(15, dc);
         for (int i = 0; i < 15; ++i) {
-            const double *src = cov_.data() + static_cast<size_t>(i) * d;
-            double *dst = ws_.p_ii.data() + static_cast<size_t>(i) * 15;
-            std::memcpy(dst, src, sizeof(double) * 15);
+            const double *src = cov_.data() + static_cast<size_t>(i) * d + 15;
+            double *dst = ws_.p_ic.data() + static_cast<size_t>(i) * dc;
+            std::memcpy(dst, src, sizeof(double) * dc);
         }
-        symmetricSandwichInto(a_imu, ws_.p_ii, ws_.ap, ws_.s_ii);
-        for (int i = 0; i < 3; ++i) {
-            ws_.s_ii(i, i) += qg;
-            ws_.s_ii(3 + i, 3 + i) += qbg;
-            ws_.s_ii(6 + i, 6 + i) += qa;
-            ws_.s_ii(9 + i, 9 + i) += qba;
-            ws_.s_ii(12 + i, 12 + i) += qa * dt * dt;
-        }
+        gemmInto(a_imu, ws_.p_ic, ws_.ap_ic);
         for (int i = 0; i < 15; ++i) {
-            const double *src =
-                ws_.s_ii.data() + static_cast<size_t>(i) * 15;
-            double *dst = cov_.data() + static_cast<size_t>(i) * d;
-            std::memcpy(dst, src, sizeof(double) * 15);
-        }
-        if (d > 15) {
-            const int dc = d - 15;
-            ws_.p_ic.resize(15, dc);
-            for (int i = 0; i < 15; ++i) {
-                const double *src =
-                    cov_.data() + static_cast<size_t>(i) * d + 15;
-                double *dst =
-                    ws_.p_ic.data() + static_cast<size_t>(i) * dc;
-                std::memcpy(dst, src, sizeof(double) * dc);
-            }
-            gemmInto(a_imu, ws_.p_ic, ws_.ap_ic);
-            for (int i = 0; i < 15; ++i) {
-                const double *src =
-                    ws_.ap_ic.data() + static_cast<size_t>(i) * dc;
-                double *dst =
-                    cov_.data() + static_cast<size_t>(i) * d + 15;
-                std::memcpy(dst, src, sizeof(double) * dc);
-                for (int j = 0; j < dc; ++j)
-                    cov_(15 + j, i) = src[j];
-            }
+            const double *src = ws_.ap_ic.data() + static_cast<size_t>(i) * dc;
+            double *dst = cov_.data() + static_cast<size_t>(i) * d + 15;
+            std::memcpy(dst, src, sizeof(double) * dc);
+            for (int j = 0; j < dc; ++j)
+                cov_(15 + j, i) = src[j];
         }
     }
 
@@ -191,48 +158,27 @@ Msckf::augmentClone(long clone_id)
 {
     const int d = stateDim();
 
-    if (cfg_.use_reference) {
-        // Pre-overhaul path: explicit J, two allocating products, and
-        // a reallocating conservativeResize.
-        MatX j(6, d);
-        j.setFixedBlock<3, 3>(0, 0, Mat3::identity());
-        j.setFixedBlock<3, 3>(3, 12, Mat3::identity());
-        MatX jp;
-        gemmReference(j, cov_, jp);
-        MatX jpjt;
-        multiplyTransposedReference(jp, j, jpjt);
-        MatX next(d + 6, d + 6);
-        for (int r = 0; r < d; ++r)
-            for (int c = 0; c < d; ++c)
-                next(r, c) = cov_(r, c);
-        cov_ = std::move(next);
-        cov_.setBlock(d, 0, jp);
-        cov_.setBlock(0, d, jp.transpose());
-        cov_.setBlock(d, d, jpjt);
-    } else {
-        // Structure-exploiting path: J only selects the theta (0..2)
-        // and p (12..14) error rows, so J·P is six existing covariance
-        // rows and J·P·Jᵀ is the matching 6x6 sub-block — the clone
-        // augmentation is pure row/column copies, no matrix products.
-        cov_.conservativeResize(d + 6, d + 6);
-        auto src_row = [](int r) { return r < 3 ? r : 12 + (r - 3); };
-        const int dn = d + 6;
-        for (int r = 0; r < 6; ++r) {
-            const double *src =
-                cov_.data() + static_cast<size_t>(src_row(r)) * dn;
-            double *dst = cov_.data() + static_cast<size_t>(d + r) * dn;
-            std::memcpy(dst, src, sizeof(double) * d);
-            // Corner block (J P Jᵀ): columns picked from this row.
-            for (int c = 0; c < 6; ++c)
-                dst[d + c] = src[src_row(c)];
-        }
-        // Mirror the new rows into the new columns.
-        for (int r = 0; r < 6; ++r) {
-            const double *jp_row =
-                cov_.data() + static_cast<size_t>(d + r) * dn;
-            for (int c = 0; c < d; ++c)
-                cov_(c, d + r) = jp_row[c];
-        }
+    // J only selects the theta (0..2) and p (12..14) error rows, so J·P
+    // is six existing covariance rows and J·P·Jᵀ is the matching 6x6
+    // sub-block — the clone augmentation is pure row/column copies, no
+    // matrix products.
+    cov_.conservativeResize(d + 6, d + 6);
+    auto src_row = [](int r) { return r < 3 ? r : 12 + (r - 3); };
+    const int dn = d + 6;
+    for (int r = 0; r < 6; ++r) {
+        const double *src =
+            cov_.data() + static_cast<size_t>(src_row(r)) * dn;
+        double *dst = cov_.data() + static_cast<size_t>(d + r) * dn;
+        std::memcpy(dst, src, sizeof(double) * d);
+        // Corner block (J P Jᵀ): columns picked from this row.
+        for (int c = 0; c < 6; ++c)
+            dst[d + c] = src[src_row(c)];
+    }
+    // Mirror the new rows into the new columns.
+    for (int r = 0; r < 6; ++r) {
+        const double *jp_row = cov_.data() + static_cast<size_t>(d + r) * dn;
+        for (int c = 0; c < d; ++c)
+            cov_(c, d + r) = jp_row[c];
     }
 
     clones_.push_back({clone_id, q_wb_, p_wb_});
@@ -404,27 +350,14 @@ Msckf::buildTrackBlock(const FeatureTrack &track, const Vec3 &x_world,
     // Nullspace projection: multiply by the left nullspace of Hf, i.e.
     // the trailing rows of Q^T from the QR of Hf.
     const int out_rows = 2 * m - 3;
-    if (cfg_.use_reference) {
-        HouseholderQRReference qr(hf);
-        MatX qth = qr.qtb(hx);
-        VecX qtr = qr.qtb(r);
-        for (int i = 0; i < out_rows; ++i) {
-            for (int j = 0; j < d; ++j)
-                h_out(row0 + i, j) = qth(3 + i, j);
-            r_out[row0 + i] = qtr[3 + i];
-        }
-    } else {
-        ws_.qr_track.compute(hf);
-        ws_.qr_track.qtbInPlace(hx);
-        ws_.qr_track.qtbInPlace(r);
-        for (int i = 0; i < out_rows; ++i) {
-            const double *src =
-                hx.data() + static_cast<size_t>(3 + i) * d;
-            double *dst =
-                h_out.data() + static_cast<size_t>(row0 + i) * d;
-            std::memcpy(dst, src, sizeof(double) * d);
-            r_out[row0 + i] = r[3 + i];
-        }
+    ws_.qr_track.compute(hf);
+    ws_.qr_track.qtbInPlace(hx);
+    ws_.qr_track.qtbInPlace(r);
+    for (int i = 0; i < out_rows; ++i) {
+        const double *src = hx.data() + static_cast<size_t>(3 + i) * d;
+        double *dst = h_out.data() + static_cast<size_t>(row0 + i) * d;
+        std::memcpy(dst, src, sizeof(double) * d);
+        r_out[row0 + i] = r[3 + i];
     }
     return out_rows;
 }
@@ -501,19 +434,10 @@ Msckf::update(const std::vector<FeatureTrack> &finished_tracks,
     StageTimer qr_timer(timing_.qr_ms);
     const MatX *h_used = &h;
     if (row > d) {
-        if (cfg_.use_reference) {
-            HouseholderQRReference qr(h);
-            VecX qtb = qr.qtb(r);
-            ws_.h_compressed = qr.matrixR(); // d x d upper-triangular
-            r.resize(d);
-            for (int i = 0; i < d; ++i)
-                r[i] = qtb[i];
-        } else {
-            ws_.qr_compress.compute(h);
-            ws_.qr_compress.qtbInPlace(r);
-            ws_.qr_compress.extractRInto(ws_.h_compressed);
-            r.conservativeResize(d); // top d rows of Q^T r
-        }
+        ws_.qr_compress.compute(h);
+        ws_.qr_compress.qtbInPlace(r);
+        ws_.qr_compress.extractRInto(ws_.h_compressed);
+        r.conservativeResize(d); // top d rows of Q^T r
         h_used = &ws_.h_compressed;
     }
     qr_timer.stop();
@@ -524,28 +448,8 @@ Msckf::update(const std::vector<FeatureTrack> &finished_tracks,
     const double r_var = cfg_.pixel_sigma * cfg_.pixel_sigma;
     bool gain_ok = true;
     bool used_f32 = false;
-    MatX ph_t_ref; // P H^T of the reference path (reused by its downdate)
-    if (cfg_.use_reference) {
-        // Pre-overhaul flow: P H^T, full S product, explicit
-        // symmetrize, transpose-copy RHS, column-by-column solve.
-        multiplyTransposedReference(cov_, *h_used, ph_t_ref);
-        MatX s;
-        gemmReference(*h_used, ph_t_ref, s);
-        for (int i = 0; i < rows; ++i)
-            s(i, i) += r_var;
-        s.makeSymmetric();
-        CholeskyReference chol(s);
-        if (chol.ok()) {
-            ws_.k_t = chol.solve(ph_t_ref.transpose());
-        } else {
-            PartialPivLU lu(s);
-            if (!lu.ok())
-                gain_ok = false;
-            else
-                ws_.k_t = lu.solve(ph_t_ref.transpose());
-        }
-    } else if (cfg_.float32_covariance_update && !hub_ &&
-               float32KalmanGain(*h_used, rows, d, r_var)) {
+    if (cfg_.float32_covariance_update && !hub_ &&
+        float32KalmanGain(*h_used, rows, d, r_var)) {
         used_f32 = true; // gain in ws_.kt_f, intermediates in hp_f/s_f
     } else {
         // H P is both the sandwich intermediate and the solve RHS —
@@ -607,12 +511,7 @@ Msckf::update(const std::vector<FeatureTrack> &finished_tracks,
     // computes one triangle and mirrors, so the covariance leaves this
     // update *exactly* symmetric (no asymmetry drift into solveSpd's
     // LU fallback).
-    if (cfg_.use_reference) {
-        MatX prod;
-        gemmReference(ph_t_ref, ws_.k_t, prod);
-        cov_ -= prod;
-        cov_.makeSymmetric();
-    } else if (used_f32) {
+    if (used_f32) {
         // The downdate term is formed in f32 (lower triangle), then
         // subtracted from the f64 master and mirrored — exactly
         // symmetric, same as the f64 kernel's contract.

@@ -45,14 +45,6 @@ struct MsckfConfig
     int triangulation_iterations = 5;
 
     /**
-     * Routes every linear-algebra block through the retained scalar
-     * reference kernels and the pre-overhaul allocate-and-copy flow
-     * (the "before" baseline of the backend figure benches; the
-     * backend-overhaul analogue of FrontendConfig::use_reference).
-     */
-    bool use_reference = false;
-
-    /**
      * Runs the covariance-heavy Kalman-gain slice (S = H P Hᵀ + R, the
      * SPD solve for Kᵀ, and the covariance downdate term) in float32
      * (math/blas_f32.hpp): half the memory traffic, twice the SIMD
@@ -63,8 +55,8 @@ struct MsckfConfig
      * the pose-divergence bound asserted by
      * tests/test_backend.cpp::Float32CovarianceTracksFloat64Path.
      * Falls back to the f64 path for an update when the f32 Cholesky
-     * fails, and is ignored under use_reference or a SolveHub (the
-     * hub's batched-vs-direct bit-identity contract is f64-only).
+     * fails, and is ignored under a SolveHub (the hub's
+     * batched-vs-direct bit-identity contract is f64-only).
      */
     bool float32_covariance_update = false;
 };

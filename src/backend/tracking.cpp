@@ -71,25 +71,7 @@ Tracker::track(const FrontendOutput &frame,
         }
     }
 
-    if (cfg_.use_reference) {
-        // Pre-overhaul layout: column-per-point build (strided writes)
-        // and the scalar GEMM, then a column-strided consume.
-        MatX x_h(4, m);
-        for (int i = 0; i < m; ++i) {
-            x_h(0, i) = pts[i].position[0];
-            x_h(1, i) = pts[i].position[1];
-            x_h(2, i) = pts[i].position[2];
-            x_h(3, i) = 1.0;
-        }
-        MatX f;
-        gemmReference(c_, x_h, f); // 3 x M
-        f_.resize(m, 3);
-        for (int i = 0; i < m; ++i) {
-            f_(i, 0) = f(0, i);
-            f_(i, 1) = f(1, i);
-            f_(i, 2) = f(2, i);
-        }
-    } else if (hub_) {
+    if (hub_) {
         // Cross-session batched projection: sessions sharing this map
         // group into one stacked product over a single X build (cached
         // across batches when the map is immutable).

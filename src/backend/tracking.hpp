@@ -37,13 +37,6 @@ struct TrackingConfig
     double min_place_score = 0.015; //!< BoW score gate for relocalization
     PoseOptConfig pose_opt;
     MatchConfig match;
-
-    /**
-     * Routes the projection kernel through the pre-overhaul
-     * column-major build + scalar GEMM (the "before" baseline of the
-     * backend figure benches).
-     */
-    bool use_reference = false;
 };
 
 /** Per-stage wall-clock latency, ms (Fig. 6 categories). */

@@ -18,7 +18,7 @@ namespace {
  * reference path — the two differ only in where the gradient images
  * and window buffers come from, so their tracks are bit-identical by
  * construction (and the gradient images themselves are golden-tested
- * against the scalar Scharr reference).
+ * against the scalar reference).
  */
 bool
 trackAtLevel(const ImageU8 &prev, const Gradients &grad,
@@ -30,9 +30,9 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
     if (!prev.containsWithBorder(px, py, r + 2))
         return false;
 
-    // DC task: sample the template window and its cached Scharr
-    // gradients with one shared set of bilinear weights (every sample
-    // in the window has the same sub-pixel fraction).
+    // DC task: sample the template window and its cached gradients
+    // with one shared set of bilinear weights (every sample in the
+    // window has the same sub-pixel fraction).
     const int n = (2 * r + 1) * (2 * r + 1);
     const int x0 = static_cast<int>(std::floor(px)) - r;
     const int y0 = static_cast<int>(std::floor(py)) - r;
@@ -227,9 +227,7 @@ trackLucasKanade(const Pyramid &prev, const Pyramid &next,
                                  next.levels()});
     std::vector<Gradients> grads;
     for (int l = 0; l < levels; ++l)
-        grads.push_back(cfg.scharr_gradients
-                            ? scharrGradients(prev.level(l))
-                            : centralDiffGradients(prev.level(l)));
+        grads.push_back(centralDiffGradients(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
     trackLucasKanadeInto(prev, grads, next, prev_pts, cfg, scratch, out);
@@ -245,10 +243,7 @@ trackLucasKanadeReference(const Pyramid &prev, const Pyramid &next,
                                  next.levels()});
     std::vector<Gradients> grads;
     for (int l = 0; l < levels; ++l)
-        grads.push_back(
-            cfg.scharr_gradients
-                ? scharrGradientsReference(prev.level(l))
-                : centralDiffGradientsReference(prev.level(l)));
+        grads.push_back(centralDiffGradientsReference(prev.level(l)));
     FlowScratch scratch;
     std::vector<TemporalMatch> out;
     trackLucasKanadeInto(prev, grads, next, prev_pts, cfg, scratch, out);

@@ -8,14 +8,14 @@
  * builds the normal matrix, and the least-squares-solver (LSS) task
  * iterates the 2x2 solve per feature per pyramid level.
  *
- * Spatial gradients are Scharr images computed once per pyramid level
- * (image/filter.hpp) and sampled bilinearly per feature window —
- * mirroring the accelerator's DC stage, which streams whole-image
- * derivatives, and letting the frontend workspace cache them across
- * features, iterations and frames. trackLucasKanadeInto() is the
+ * Spatial gradients are central-difference images computed once per
+ * pyramid level (image/filter.hpp) and sampled bilinearly per feature
+ * window — mirroring the accelerator's DC stage, which streams
+ * whole-image derivatives, and letting the frontend workspace cache
+ * them across features, iterations and frames. trackLucasKanadeInto() is the
  * zero-alloc form over caller-cached gradients;
- * trackLucasKanadeReference() recomputes everything per call through
- * the scalar reference kernels (golden-tested bit-exact).
+ * trackLucasKanadeReference() recomputes the gradients per call
+ * through the scalar reference kernel (golden-tested bit-exact).
  */
 #pragma once
 
@@ -36,15 +36,6 @@ struct FlowConfig
     double epsilon = 0.03;     //!< convergence threshold on the update
     double max_residual = 18.0; //!< mean photometric residual gate
     double min_eigenvalue = 1e-3; //!< conditioning gate on G
-
-    /**
-     * DC gradient stencil. Central difference is the classical Bouguet
-     * formulation (bilinear-sampling the cached central-difference
-     * image reproduces the patch-differencing math exactly, so tracks
-     * keep their pre-caching accuracy); Scharr adds cross-smoothing at
-     * the same cost.
-     */
-    bool scharr_gradients = false;
 };
 
 /** Reusable per-window buffers of the LK tracker. */
@@ -64,7 +55,7 @@ struct FlowScratch
 
 /**
  * Tracks @p prev_pts from the previous frame into the current frame
- * over caller-cached per-level Scharr gradients of @p prev.
+ * over caller-cached per-level gradients of @p prev.
  *
  * @param prev pyramid of the previous frame
  * @param prev_grads one Gradients per level of @p prev (at least as
@@ -108,7 +99,7 @@ std::vector<TemporalMatch> trackLucasKanade(
     const Pyramid &prev, const Pyramid &next,
     const std::vector<KeyPoint> &prev_pts, const FlowConfig &cfg = {});
 
-/** Scalar reference: per-call gradients via the reference Scharr. */
+/** Scalar reference: per-call gradients via the reference kernel. */
 std::vector<TemporalMatch> trackLucasKanadeReference(
     const Pyramid &prev, const Pyramid &next,
     const std::vector<KeyPoint> &prev_pts, const FlowConfig &cfg = {});

@@ -62,15 +62,12 @@ VisionFrontend::processFrameInto(const ImageU8 &left,
     // this one by construction. The allocation accounting brackets all
     // three (the capacity sum is only safe to read when no other stage
     // worker is concurrently touching the workspace).
-    const bool track_allocs = !cfg_.use_reference;
     const size_t cap_before =
-        track_allocs ? ws_.capacityBytes() + mono_ctx_.capacityBytes()
-                     : 0;
+        ws_.capacityBytes() + mono_ctx_.capacityBytes();
     runFeStage(left, right, mono_ctx_, out);
     runSmStage(left, right, mono_ctx_, out);
     runTmStage(left, mono_ctx_, out);
-    if (track_allocs &&
-        ws_.capacityBytes() + mono_ctx_.capacityBytes() != cap_before)
+    if (ws_.capacityBytes() + mono_ctx_.capacityBytes() != cap_before)
         ++alloc_events_;
 }
 
@@ -81,45 +78,7 @@ VisionFrontend::runFeStage(const ImageU8 &left, const ImageU8 &right,
     out.timing = {};
     out.workload = {};
     out.workload.image_pixels = left.pixelCount();
-    if (cfg_.use_reference)
-        feReference(left, right, ctx, out);
-    else
-        feOptimized(left, right, ctx, out);
-    out.workload.left_features = static_cast<int>(out.keypoints.size());
-    out.workload.right_features =
-        static_cast<int>(ctx.right_keypoints.size());
-    out.workload.stereo_candidates_allpairs =
-        out.workload.left_features * out.workload.right_features;
-}
 
-void
-VisionFrontend::runSmStage(const ImageU8 &left, const ImageU8 &right,
-                           FrontendStageContext &ctx, FrontendOutput &out)
-{
-    if (cfg_.use_reference)
-        smReference(left, right, ctx, out);
-    else
-        smOptimized(left, right, ctx, out);
-    out.workload.stereo_matches = static_cast<int>(out.stereo.size());
-}
-
-void
-VisionFrontend::runTmStage(const ImageU8 &left, FrontendStageContext &,
-                           FrontendOutput &out)
-{
-    if (cfg_.use_reference)
-        tmReference(left, out);
-    else
-        tmOptimized(left, out);
-    out.workload.temporal_tracks = static_cast<int>(out.temporal.size());
-    ws_.prev_keypoints.assign(out.keypoints.begin(), out.keypoints.end());
-    has_prev_ = true;
-}
-
-void
-VisionFrontend::feOptimized(const ImageU8 &left, const ImageU8 &right,
-                            FrontendStageContext &ctx, FrontendOutput &out)
-{
     // --- Feature extraction block (FD + IF + FC), both images. The
     // hardware time-shares one FE pipeline across the two streams
     // (Sec. V-B); the software runs FAST and blur of each eye as four
@@ -188,11 +147,16 @@ VisionFrontend::feOptimized(const ImageU8 &left, const ImageU8 &right,
                                ws_.right.keypoints.end());
     ctx.right_descriptors.assign(ws_.right.descriptors.begin(),
                                  ws_.right.descriptors.end());
+    out.workload.left_features = static_cast<int>(out.keypoints.size());
+    out.workload.right_features =
+        static_cast<int>(ctx.right_keypoints.size());
+    out.workload.stereo_candidates_allpairs =
+        out.workload.left_features * out.workload.right_features;
 }
 
 void
-VisionFrontend::smOptimized(const ImageU8 &left, const ImageU8 &right,
-                            FrontendStageContext &ctx, FrontendOutput &out)
+VisionFrontend::runSmStage(const ImageU8 &left, const ImageU8 &right,
+                           FrontendStageContext &ctx, FrontendOutput &out)
 {
     // --- Stereo matching block (MO + DR): epipolar row-band bucketing
     // instead of the all-pairs Hamming sweep.
@@ -211,10 +175,12 @@ VisionFrontend::smOptimized(const ImageU8 &left, const ImageU8 &right,
                                   cfg_.stereo, ws_.dr_costs);
     }
     out.stereo.assign(ws_.stereo.begin(), ws_.stereo.end());
+    out.workload.stereo_matches = static_cast<int>(out.stereo.size());
 }
 
 void
-VisionFrontend::tmOptimized(const ImageU8 &left, FrontendOutput &out)
+VisionFrontend::runTmStage(const ImageU8 &left, FrontendStageContext &,
+                           FrontendOutput &out)
 {
     // --- Temporal matching block (DC + LSS): LK against the previous
     // left frame, on the raw (unfiltered) pyramid. The pyramid and its
@@ -227,14 +193,9 @@ VisionFrontend::tmOptimized(const ImageU8 &left, FrontendOutput &out)
     const int levels = ws_.cur_pyramid.levels();
     if (static_cast<int>(ws_.cur_gradients.size()) < levels)
         ws_.cur_gradients.resize(levels);
-    for (int l = 0; l < levels; ++l) {
-        if (cfg_.flow.scharr_gradients)
-            scharrGradientsInto(ws_.cur_pyramid.level(l),
-                                ws_.cur_gradients[l]);
-        else
-            centralDiffGradientsInto(ws_.cur_pyramid.level(l),
-                                     ws_.cur_gradients[l]);
-    }
+    for (int l = 0; l < levels; ++l)
+        centralDiffGradientsInto(ws_.cur_pyramid.level(l),
+                                 ws_.cur_gradients[l]);
     out.temporal.clear();
     if (has_prev_) {
         // LK over kChunk-keypoint chunks of the previous key points:
@@ -257,75 +218,10 @@ VisionFrontend::tmOptimized(const ImageU8 &left, FrontendOutput &out)
     }
     swap(ws_.prev_pyramid, ws_.cur_pyramid);
     std::swap(ws_.prev_gradients, ws_.cur_gradients);
-}
-
-void
-VisionFrontend::feReference(const ImageU8 &left, const ImageU8 &right,
-                            FrontendStageContext &ctx, FrontendOutput &out)
-{
-    // The retained scalar path: every task through the reference
-    // kernels, with the pre-workspace allocation behavior. This is the
-    // "before" baseline the fig05/fig20 benches report against and the
-    // anchor of the golden equivalence tests. (It is the scalar
-    // formulation of the *current* algorithms — fixed-point blur,
-    // gradient-image LK — so it tracks the pre-overhaul frontend's
-    // cost without being bit-identical to the old float kernels.)
-    {
-        StageTimer timer(out.timing.fd_ms);
-        out.keypoints = detectFastReference(left, cfg_.fast);
-        ctx.right_keypoints = detectFastReference(right, cfg_.fast);
-    }
-
-    ImageU8 lf, rf;
-    {
-        StageTimer timer(out.timing.if_ms);
-        lf = gaussianBlurReference(left);
-        rf = gaussianBlurReference(right);
-    }
-
-    {
-        StageTimer timer(out.timing.fc_ms);
-        out.descriptors = computeOrbDescriptorsReference(lf, out.keypoints);
-        ctx.right_descriptors =
-            computeOrbDescriptorsReference(rf, ctx.right_keypoints);
-    }
-}
-
-void
-VisionFrontend::smReference(const ImageU8 &left, const ImageU8 &right,
-                            FrontendStageContext &ctx, FrontendOutput &out)
-{
-    // The all-pairs sweep examines every (left, right) pair; both
-    // candidate counters carry that number on the reference path.
-    out.workload.stereo_candidates =
-        out.workload.stereo_candidates_allpairs;
-    {
-        StageTimer timer(out.timing.mo_ms);
-        out.stereo =
-            stereoMatchInitial(out.keypoints, out.descriptors,
-                               ctx.right_keypoints,
-                               ctx.right_descriptors, cfg_.stereo);
-    }
-    {
-        StageTimer timer(out.timing.dr_ms);
-        stereoRefineDisparityReference(left, right, out.keypoints,
-                                       out.stereo, cfg_.stereo);
-    }
-}
-
-void
-VisionFrontend::tmReference(const ImageU8 &left, FrontendOutput &out)
-{
-    StageTimer timer(out.timing.tm_ms);
-    ws_.cur_pyramid.rebuild(left, cfg_.flow.pyramid_levels);
-    if (has_prev_) {
-        out.temporal = trackLucasKanadeReference(
-            ws_.prev_pyramid, ws_.cur_pyramid, ws_.prev_keypoints,
-            cfg_.flow);
-    } else {
-        out.temporal.clear();
-    }
-    swap(ws_.prev_pyramid, ws_.cur_pyramid);
+    timer.stop();
+    out.workload.temporal_tracks = static_cast<int>(out.temporal.size());
+    ws_.prev_keypoints.assign(out.keypoints.begin(), out.keypoints.end());
+    has_prev_ = true;
 }
 
 } // namespace edx

@@ -34,9 +34,6 @@
  * runtime sets it with setLanes() from the cores its executor leaves
  * free (runtime/pipeline.hpp, runtime/localizer_pool.hpp). It is read
  * once per call, so changing it between frames is safe.
- * FrontendConfig::use_reference routes every task through the retained
- * scalar reference kernels instead, on the calling thread (the
- * benches' "before" baseline and the golden-equivalence tests' anchor).
  *
  * Every task is timed (see FrontendTiming); the timing records feed the
  * characterization benches (Figs. 5, 9-11, 20) and the accelerator
@@ -65,13 +62,6 @@ struct FrontendConfig
     FastConfig fast;
     StereoConfig stereo;
     FlowConfig flow;
-
-    /**
-     * Run the retained scalar reference kernels instead of the
-     * optimized ones (allocating, on the calling thread). Used by the
-     * golden equivalence tests and the before/after benches.
-     */
-    bool use_reference = false;
 };
 
 /**
@@ -235,17 +225,6 @@ class VisionFrontend
     }
 
   private:
-    void feOptimized(const ImageU8 &left, const ImageU8 &right,
-                     FrontendStageContext &ctx, FrontendOutput &out);
-    void smOptimized(const ImageU8 &left, const ImageU8 &right,
-                     FrontendStageContext &ctx, FrontendOutput &out);
-    void tmOptimized(const ImageU8 &left, FrontendOutput &out);
-    void feReference(const ImageU8 &left, const ImageU8 &right,
-                     FrontendStageContext &ctx, FrontendOutput &out);
-    void smReference(const ImageU8 &left, const ImageU8 &right,
-                     FrontendStageContext &ctx, FrontendOutput &out);
-    void tmReference(const ImageU8 &left, FrontendOutput &out);
-
     FrontendConfig cfg_;
     FrameWorkspace ws_;
     FrontendStageContext mono_ctx_; //!< reused by processFrameInto()

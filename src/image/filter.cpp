@@ -273,151 +273,6 @@ gaussianBlur(const ImageF &in)
     return separableBlurF(in);
 }
 
-ImageU8
-boxBlur(const ImageU8 &in, int r)
-{
-    assert(r >= 0);
-    const int w = in.width(), h = in.height();
-    ImageU8 out(w, h);
-    if (w == 0 || h == 0)
-        return out;
-    const int count = (2 * r + 1) * (2 * r + 1);
-
-    // Horizontal sliding window with edge clamping: each row sum is
-    // updated by one add and one subtract per pixel.
-    Image<int32_t> rowsum(w, h);
-    for (int y = 0; y < h; ++y) {
-        const uint8_t *src = in.rowPtr(y);
-        int32_t *dst = rowsum.rowPtr(y);
-        auto clamped = [&](int x) {
-            return static_cast<int32_t>(
-                src[x < 0 ? 0 : (x >= w ? w - 1 : x)]);
-        };
-        int32_t s = 0;
-        for (int dx = -r; dx <= r; ++dx)
-            s += clamped(dx);
-        dst[0] = s;
-        for (int x = 1; x < w; ++x) {
-            s += clamped(x + r) - clamped(x - r - 1);
-            dst[x] = s;
-        }
-    }
-
-    // Vertical sliding window over the row sums, one running column-sum
-    // vector updated by one row-add and one row-subtract per output row.
-    std::vector<int32_t> colsum(static_cast<size_t>(w), 0);
-    auto rowClamped = [&](int y) {
-        return rowsum.rowPtr(y < 0 ? 0 : (y >= h ? h - 1 : y));
-    };
-    for (int dy = -r; dy <= r; ++dy) {
-        const int32_t *row = rowClamped(dy);
-        for (int x = 0; x < w; ++x)
-            colsum[x] += row[x];
-    }
-    for (int y = 0; y < h; ++y) {
-        uint8_t *dst = out.rowPtr(y);
-        for (int x = 0; x < w; ++x)
-            dst[x] = static_cast<uint8_t>((colsum[x] + count / 2) /
-                                          count);
-        if (y + 1 < h) {
-            const int32_t *add = rowClamped(y + 1 + r);
-            const int32_t *sub = rowClamped(y - r);
-            for (int x = 0; x < w; ++x)
-                colsum[x] += add[x] - sub[x];
-        }
-    }
-    return out;
-}
-
-ImageU8
-boxBlurReference(const ImageU8 &in, int r)
-{
-    assert(r >= 0);
-    const int w = in.width(), h = in.height();
-    ImageU8 out(w, h);
-    const int count = (2 * r + 1) * (2 * r + 1);
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            int s = 0;
-            for (int dy = -r; dy <= r; ++dy)
-                for (int dx = -r; dx <= r; ++dx)
-                    s += in.atClamped(x + dx, y + dy);
-            out.at(x, y) = static_cast<uint8_t>((s + count / 2) / count);
-        }
-    }
-    return out;
-}
-
-bool
-scharrGradientsInto(const ImageU8 &in, Gradients &out)
-{
-    const int w = in.width(), h = in.height();
-    bool grew = out.gx.resize(w, h);
-    grew |= out.gy.resize(w, h);
-    if (w == 0 || h == 0)
-        return grew;
-
-    // Scharr 3x3: (3, 10, 3) smoothing x (-1, 0, 1) derivative, /32.
-    // All stencil sums are small exact integers, so integer interior
-    // math is bit-identical to the float reference formulation.
-    auto edgePixel = [&](int x, int y) {
-        const int p00 = in.atClamped(x - 1, y - 1);
-        const int p10 = in.atClamped(x, y - 1);
-        const int p20 = in.atClamped(x + 1, y - 1);
-        const int p01 = in.atClamped(x - 1, y);
-        const int p21 = in.atClamped(x + 1, y);
-        const int p02 = in.atClamped(x - 1, y + 1);
-        const int p12 = in.atClamped(x, y + 1);
-        const int p22 = in.atClamped(x + 1, y + 1);
-        out.gx.at(x, y) = static_cast<float>(3 * (p20 - p00) +
-                                             10 * (p21 - p01) +
-                                             3 * (p22 - p02)) /
-                          32.0f;
-        out.gy.at(x, y) = static_cast<float>(3 * (p02 - p00) +
-                                             10 * (p12 - p10) +
-                                             3 * (p22 - p20)) /
-                          32.0f;
-    };
-
-    for (int x = 0; x < w; ++x) {
-        edgePixel(x, 0);
-        if (h > 1)
-            edgePixel(x, h - 1);
-    }
-    for (int y = 1; y + 1 < h; ++y) {
-        edgePixel(0, y);
-        if (w > 1)
-            edgePixel(w - 1, y);
-        const uint8_t *pm = in.rowPtr(y - 1);
-        const uint8_t *p0 = in.rowPtr(y);
-        const uint8_t *pp = in.rowPtr(y + 1);
-        float *gx = out.gx.rowPtr(y);
-        float *gy = out.gy.rowPtr(y);
-        for (int x = 1; x + 1 < w; ++x) {
-            const int p00 = pm[x - 1], p10 = pm[x], p20 = pm[x + 1];
-            const int p01 = p0[x - 1], p21 = p0[x + 1];
-            const int p02 = pp[x - 1], p12 = pp[x], p22 = pp[x + 1];
-            gx[x] = static_cast<float>(3 * (p20 - p00) +
-                                       10 * (p21 - p01) +
-                                       3 * (p22 - p02)) /
-                    32.0f;
-            gy[x] = static_cast<float>(3 * (p02 - p00) +
-                                       10 * (p12 - p10) +
-                                       3 * (p22 - p20)) /
-                    32.0f;
-        }
-    }
-    return grew;
-}
-
-Gradients
-scharrGradients(const ImageU8 &in)
-{
-    Gradients g;
-    scharrGradientsInto(in, g);
-    return g;
-}
-
 bool
 centralDiffGradientsInto(const ImageU8 &in, Gradients &out)
 {
@@ -475,32 +330,6 @@ centralDiffGradientsReference(const ImageU8 &in)
                                     in.atClamped(x - 1, y));
             g.gy.at(x, y) = 0.5f * (in.atClamped(x, y + 1) -
                                     in.atClamped(x, y - 1));
-        }
-    }
-    return g;
-}
-
-Gradients
-scharrGradientsReference(const ImageU8 &in)
-{
-    const int w = in.width(), h = in.height();
-    Gradients g{ImageF(w, h), ImageF(w, h)};
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            float p00 = in.atClamped(x - 1, y - 1);
-            float p10 = in.atClamped(x, y - 1);
-            float p20 = in.atClamped(x + 1, y - 1);
-            float p01 = in.atClamped(x - 1, y);
-            float p21 = in.atClamped(x + 1, y);
-            float p02 = in.atClamped(x - 1, y + 1);
-            float p12 = in.atClamped(x, y + 1);
-            float p22 = in.atClamped(x + 1, y + 1);
-            g.gx.at(x, y) =
-                (3 * (p20 - p00) + 10 * (p21 - p01) + 3 * (p22 - p02)) /
-                32.0f;
-            g.gy.at(x, y) =
-                (3 * (p02 - p00) + 10 * (p12 - p10) + 3 * (p22 - p20)) /
-                32.0f;
         }
     }
     return g;

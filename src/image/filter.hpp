@@ -1,11 +1,11 @@
 /**
  * @file
- * Image filtering: separable Gaussian blur, box filter, and Scharr
+ * Image filtering: separable Gaussian blur and central-difference
  * gradients.
  *
  * These are the "Image Filtering (IF)" and "Derivatives Calculation (DC)"
  * tasks of the frontend accelerator pipeline (Fig. 12). The stencil sizes
- * used here (Gaussian 7x1 separable, Scharr 3x3) are the sizes the
+ * used here (Gaussian 7x1 separable, 3x3 derivative) are the sizes the
  * stencil-buffer model in src/hw sizes its line buffers for.
  *
  * Every hot kernel comes in two forms:
@@ -17,7 +17,8 @@
  *  - a retained scalar reference implementation (`*Reference`), the
  *    straightforward per-pixel formulation. The golden-output
  *    equivalence tests in tests/test_kernels.cpp assert the two are
- *    bit-exact, so the fast paths can never silently drift.
+ *    bit-exact, so the fast paths can never silently drift. Only
+ *    tests, benches and other twins call a twin.
  *
  * The 8-bit Gaussian runs in 16.8 fixed point (weights scaled by 2^16,
  * horizontal intermediate kept at 8 fractional bits) so the interior
@@ -57,15 +58,6 @@ ImageU8 gaussianBlurReference(const ImageU8 &in);
 /** Gaussian blur on a float image (same kernel shape, float weights). */
 ImageF gaussianBlur(const ImageF &in);
 
-/**
- * Box blur with a (2r+1)^2 window via sliding-window row sums: O(1)
- * work per pixel regardless of the radius.
- */
-ImageU8 boxBlur(const ImageU8 &in, int r);
-
-/** Scalar O(r^2)-per-pixel reference of boxBlur (golden tests). */
-ImageU8 boxBlurReference(const ImageU8 &in, int r);
-
 /** Horizontal and vertical image gradients. */
 struct Gradients
 {
@@ -74,29 +66,14 @@ struct Gradients
 };
 
 /**
- * 3x3 Scharr gradients (normalized by 1/32) of an 8-bit image; used by
- * Lucas-Kanade temporal matching.
- */
-Gradients scharrGradients(const ImageU8 &in);
-
-/**
- * scharrGradients into caller-owned gradient images (the frontend
- * caches one Gradients per pyramid level in its workspace so the LK
- * tracker reuses them across features and iterations).
- * @return true when a buffer had to grow.
- */
-bool scharrGradientsInto(const ImageU8 &in, Gradients &out);
-
-/** Scalar reference of the Scharr gradients (golden tests). */
-Gradients scharrGradientsReference(const ImageU8 &in);
-
-/**
  * Plain central-difference gradients (gx = (I(x+1) - I(x-1)) / 2, same
- * for y, clamped at the borders). This is the gradient the pyramidal
- * LK tracker samples by default: bilinearly interpolating this image
- * is mathematically identical to central-differencing a bilinearly
- * shifted patch (the classical Bouguet formulation), so caching it per
- * pyramid level changes where the work happens, not the flow field.
+ * for y, clamped at the borders), for Lucas-Kanade temporal matching.
+ * The frontend caches one Gradients per pyramid level in its workspace,
+ * so the LK tracker reuses them across features and iterations.
+ * Bilinearly interpolating this image is mathematically identical to
+ * central-differencing a bilinearly shifted patch (the classical
+ * Bouguet formulation), so caching it per pyramid level changes where
+ * the work happens, not the flow field.
  * @return true when a buffer had to grow.
  */
 bool centralDiffGradientsInto(const ImageU8 &in, Gradients &out);

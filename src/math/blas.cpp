@@ -139,18 +139,12 @@ gemvInto(const MatX &a, const VecX &x, VecX &y)
     y.resize(m);
     for (int i = 0; i < m; ++i) {
         const double *ai = a.data() + static_cast<size_t>(i) * n;
-        // Sequential sum keeps gemv bit-exact with the reference.
+        // Sequential sum, in index order.
         double s = 0.0;
         for (int j = 0; j < n; ++j)
             s += ai[j] * x[j];
         y[i] = s;
     }
-}
-
-void
-gemvReference(const MatX &a, const VecX &x, VecX &y)
-{
-    gemvInto(a, x, y);
 }
 
 void

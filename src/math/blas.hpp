@@ -12,9 +12,9 @@
  * a retained scalar `*Reference` twin preserving the pre-overhaul loop
  * order — the same equivalence contract the frontend kernels follow:
  *
- *  - gemmInto / gemvInto are bit-exact with their references: the
- *    vectorized j-lanes and the sequential k-accumulation keep every
- *    output element's floating-point operation order identical.
+ *  - gemmInto is bit-exact with gemmReference: the vectorized j-lanes
+ *    and the sequential k-accumulation keep every output element's
+ *    floating-point operation order identical.
  *  - Dot-product-based kernels (multiplyTransposedInto, the symmetric
  *    products) use multiple accumulators, which reassociates the
  *    reduction; they are golden-tested against their references to a
@@ -37,11 +37,8 @@ void gemmInto(const MatX &a, const MatX &b, MatX &c);
 /** Scalar i-k-j reference GEMM (the pre-overhaul operator*). */
 void gemmReference(const MatX &a, const MatX &b, MatX &c);
 
-/** y = A · x (bit-exact with gemvReference). */
+/** y = A · x. */
 void gemvInto(const MatX &a, const VecX &x, VecX &y);
-
-/** Scalar row-dot reference GEMV. */
-void gemvReference(const MatX &a, const VecX &x, VecX &y);
 
 /** C = A · Bᵀ without materializing the transpose (2x2 register tile). */
 void multiplyTransposedInto(const MatX &a, const MatX &b, MatX &c);

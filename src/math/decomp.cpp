@@ -722,22 +722,6 @@ HouseholderQRReference::qtb(const VecX &b) const
     return r;
 }
 
-MatX
-HouseholderQRReference::qtb(const MatX &b) const
-{
-    assert(b.rows() == m_);
-    MatX out(b.rows(), b.cols());
-    for (int c = 0; c < b.cols(); ++c) {
-        VecX col(b.rows());
-        for (int r = 0; r < b.rows(); ++r)
-            col[r] = b(r, c);
-        applyHouseholder(col);
-        for (int r = 0; r < b.rows(); ++r)
-            out(r, c) = col[r];
-    }
-    return out;
-}
-
 VecX
 HouseholderQRReference::solve(const VecX &b) const
 {

@@ -251,7 +251,6 @@ class HouseholderQRReference
     void compute(const MatX &a);
     const MatX &matrixR() const { return r_; }
     VecX qtb(const VecX &b) const;
-    MatX qtb(const MatX &b) const; //!< column-by-column (seed path)
     VecX solve(const VecX &b) const;
     int rank(double tol = 1e-10) const;
 

@@ -768,8 +768,8 @@ LocalizerPool::stats() const
             ss.plan_cuts = s->plan_cuts;
             ss.replan = s->replanner->stats();
             out.replans += ss.replan.ticks;
-            out.swaps_applied += ss.replan.proposals;
-            out.swaps_rejected += ss.replan.held;
+            out.plan_updates += ss.replan.proposals;
+            out.plans_held += ss.replan.held;
         }
         if (s->loc->mapService()) {
             // Atomic counters published by the session's own worker;

@@ -296,8 +296,8 @@ struct PoolStats
     long workers_grown = 0;    //!< elastic spawns beyond the initial set
     long workers_retired = 0;  //!< workers retired on sustained idle
     long replans = 0;          //!< replan ticks evaluated, all sessions
-    long swaps_applied = 0;    //!< plan changes adopted
-    long swaps_rejected = 0;   //!< proposals held by hysteresis/min-data
+    long plan_updates = 0;     //!< proposals written to plan_cuts
+    long plans_held = 0;       //!< ticks held by hysteresis/min-data
 
     // Shared-map service counters (PoolConfig::map_service).
     bool map_service_attached = false;

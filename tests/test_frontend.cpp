@@ -17,6 +17,7 @@
 
 #include "frontend/frontend.hpp"
 #include "frontend/lane_group.hpp"
+#include "image/filter.hpp"
 #include "sim/dataset.hpp"
 
 // --- global allocation counter ------------------------------------------
@@ -388,26 +389,80 @@ expectOutputsIdentical(const FrontendOutput &a, const FrontendOutput &b)
     }
 }
 
+/**
+ * The frontend recomposed from the retained scalar kernel twins, with
+ * no workspace and no lanes: FAST, blur and ORB per eye, the all-pairs
+ * stereo sweep plus the reference disparity refinement, then LK
+ * against the previous frame's pyramid and key points.
+ */
+class ReferenceFrontend
+{
+  public:
+    FrontendOutput
+    process(const ImageU8 &left, const ImageU8 &right)
+    {
+        FrontendOutput out;
+        out.keypoints = detectFastReference(left, cfg_.fast);
+        std::vector<KeyPoint> right_kps =
+            detectFastReference(right, cfg_.fast);
+        out.descriptors = computeOrbDescriptorsReference(
+            gaussianBlurReference(left), out.keypoints);
+        std::vector<Descriptor> right_desc = computeOrbDescriptorsReference(
+            gaussianBlurReference(right), right_kps);
+        out.workload.stereo_candidates_allpairs =
+            static_cast<int>(out.keypoints.size() * right_kps.size());
+
+        out.stereo = stereoMatchInitial(out.keypoints, out.descriptors,
+                                        right_kps, right_desc, cfg_.stereo);
+        stereoRefineDisparityReference(left, right, out.keypoints,
+                                       out.stereo, cfg_.stereo);
+
+        Pyramid cur(left, cfg_.flow.pyramid_levels);
+        if (!prev_pyramid_.empty())
+            out.temporal = trackLucasKanadeReference(
+                prev_pyramid_, cur, prev_keypoints_, cfg_.flow);
+        prev_pyramid_ = std::move(cur);
+        prev_keypoints_ = out.keypoints;
+        return out;
+    }
+
+  private:
+    FrontendConfig cfg_;
+    Pyramid prev_pyramid_;
+    std::vector<KeyPoint> prev_keypoints_;
+};
+
 TEST(Frontend, OptimizedPathMatchesReferencePath)
 {
-    // The whole optimized frontend (workspace kernels, banded stereo,
-    // cached gradients) against the retained scalar reference path:
-    // bit-exact products over a multi-frame sequence.
-    Dataset d(droneScene());
-    FrontendConfig ref_cfg;
-    ref_cfg.use_reference = true;
-    VisionFrontend opt, ref(ref_cfg);
-    for (int i = 0; i < 3; ++i) {
-        DatasetFrame f = d.frame(i);
-        FrontendOutput a = opt.processFrame(f.stereo.left, f.stereo.right);
-        FrontendOutput b = ref.processFrame(f.stereo.left, f.stereo.right);
-        expectOutputsIdentical(a, b);
-        EXPECT_EQ(a.workload.stereo_candidates_allpairs,
-                  b.workload.stereo_candidates_allpairs);
-        // The banded matcher must evaluate a strict subset of the
-        // all-pairs sweep.
-        EXPECT_LE(a.workload.stereo_candidates,
-                  a.workload.stereo_candidates_allpairs);
+    // The whole frontend (workspace kernels, banded stereo, cached
+    // gradients, lanes) against the kernel twins composed above:
+    // bit-exact products over a multi-frame sequence, on the VGA drone
+    // and on the 720p outdoor car.
+    DatasetConfig car;
+    car.scene = SceneType::OutdoorUnknown;
+    car.platform = Platform::Car;
+    car.frame_count = 3;
+    car.seed = 21;
+    for (const DatasetConfig &cfg : {droneScene(3), car}) {
+        Dataset d(cfg);
+        VisionFrontend opt;
+        ReferenceFrontend ref;
+        for (int i = 0; i < 3; ++i) {
+            DatasetFrame f = d.frame(i);
+            SCOPED_TRACE(std::to_string(f.stereo.left.width()) +
+                         "px wide, frame " + std::to_string(i));
+            FrontendOutput a =
+                opt.processFrame(f.stereo.left, f.stereo.right);
+            FrontendOutput b =
+                ref.process(f.stereo.left, f.stereo.right);
+            expectOutputsIdentical(a, b);
+            EXPECT_EQ(a.workload.stereo_candidates_allpairs,
+                      b.workload.stereo_candidates_allpairs);
+            // The banded matcher must evaluate a strict subset of the
+            // all-pairs sweep.
+            EXPECT_LE(a.workload.stereo_candidates,
+                      a.workload.stereo_candidates_allpairs);
+        }
     }
 }
 

@@ -97,28 +97,6 @@ TEST(Filter, GaussianSmoothsImpulse)
     EXPECT_GT(out.at(14, 16), out.at(12, 16));
 }
 
-TEST(Filter, BoxBlurAveragesUniformly)
-{
-    ImageU8 img(9, 9, 0);
-    img.at(4, 4) = 90;
-    ImageU8 out = boxBlur(img, 1);
-    EXPECT_EQ(out.at(4, 4), 10);
-    EXPECT_EQ(out.at(3, 3), 10);
-    EXPECT_EQ(out.at(0, 0), 0);
-}
-
-TEST(Filter, ScharrDetectsHorizontalGradient)
-{
-    // Intensity ramp along x: gx should be positive and uniform, gy zero.
-    ImageU8 img(16, 16);
-    for (int y = 0; y < 16; ++y)
-        for (int x = 0; x < 16; ++x)
-            img.at(x, y) = static_cast<uint8_t>(x * 10);
-    Gradients g = scharrGradients(img);
-    EXPECT_NEAR(g.gx.at(8, 8), 10.0, 1e-4);
-    EXPECT_NEAR(g.gy.at(8, 8), 0.0, 1e-4);
-}
-
 TEST(Pyramid, LevelsHalve)
 {
     ImageU8 img(64, 48);
