@@ -109,9 +109,10 @@ hasAvx2()
 }
 
 /**
- * One kernel row: the reference once, the optimized path once per
- * available SIMD tier. Non-dispatched kernels simply repeat their
- * timing across tiers — the column then doubles as a noise gauge.
+ * One kernel row: the reference once (the twins never dispatch, so it
+ * is scalar code on any tier), the optimized path once per available
+ * SIMD tier. Non-dispatched kernels simply repeat their timing across
+ * tiers — the column then doubles as a noise gauge.
  */
 template <typename RefFn, typename OptFn>
 void

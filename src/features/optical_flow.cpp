@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/cpu_features.hpp"
 #include "math/mat.hpp"
+#if defined(EDX_HAVE_AVX2)
+#include "features/optical_flow_avx2.hpp"
+#endif
 
 namespace edx {
 
@@ -18,12 +22,14 @@ namespace {
  * reference path — the two differ only in where the gradient images
  * and window buffers come from, so their tracks are bit-identical by
  * construction (and the gradient images themselves are golden-tested
- * against the scalar reference).
+ * against the scalar reference). With @p wide, the window's
+ * elementwise products come from the AVX2 twins and only the sums run
+ * here, in the same index order; the reference path never sets it.
  */
 bool
 trackAtLevel(const ImageU8 &prev, const Gradients &grad,
              const ImageU8 &next, double px, double py, double &nx,
-             double &ny, const FlowConfig &cfg, FlowScratch &s,
+             double &ny, const FlowConfig &cfg, bool wide, FlowScratch &s,
              double &residual_out)
 {
     const int r = cfg.window_radius;
@@ -45,28 +51,48 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
     s.ix.resize(n);
     s.iy.resize(n);
     double *iv = s.iv.data(), *ix = s.ix.data(), *iy = s.iy.data();
+    if (wide) {
+        s.dix.resize(n);
+        s.diy.resize(n);
+        s.adi.resize(n);
+    }
+    double *dix = s.dix.data(), *diy = s.diy.data(), *adi = s.adi.data();
 
     Mat2 g;
-    int idx = 0;
-    for (int dy = 0; dy <= 2 * r; ++dy) {
-        const uint8_t *p0 = prev.rowPtr(y0 + dy) + x0;
-        const uint8_t *p1 = prev.rowPtr(y0 + dy + 1) + x0;
-        const float *gx0 = grad.gx.rowPtr(y0 + dy) + x0;
-        const float *gx1 = grad.gx.rowPtr(y0 + dy + 1) + x0;
-        const float *gy0 = grad.gy.rowPtr(y0 + dy) + x0;
-        const float *gy1 = grad.gy.rowPtr(y0 + dy + 1) + x0;
-        for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
-            iv[idx] = w00 * p0[dx] + w10 * p0[dx + 1] + w01 * p1[dx] +
-                      w11 * p1[dx + 1];
-            const double gx = w00 * gx0[dx] + w10 * gx0[dx + 1] +
-                              w01 * gx1[dx] + w11 * gx1[dx + 1];
-            const double gy = w00 * gy0[dx] + w10 * gy0[dx + 1] +
-                              w01 * gy1[dx] + w11 * gy1[dx + 1];
-            ix[idx] = gx;
-            iy[idx] = gy;
-            g(0, 0) += gx * gx;
-            g(0, 1) += gx * gy;
-            g(1, 1) += gy * gy;
+    if (wide) {
+#if defined(EDX_HAVE_AVX2)
+        avx2::lkTemplateWindow(prev.rowPtr(y0) + x0,
+                               grad.gx.rowPtr(y0) + x0,
+                               grad.gy.rowPtr(y0) + x0, prev.width(), w00,
+                               w10, w01, w11, iv, ix, iy);
+#endif
+        for (int i = 0; i < n; ++i) {
+            g(0, 0) += ix[i] * ix[i];
+            g(0, 1) += ix[i] * iy[i];
+            g(1, 1) += iy[i] * iy[i];
+        }
+    } else {
+        int idx = 0;
+        for (int dy = 0; dy <= 2 * r; ++dy) {
+            const uint8_t *p0 = prev.rowPtr(y0 + dy) + x0;
+            const uint8_t *p1 = prev.rowPtr(y0 + dy + 1) + x0;
+            const float *gx0 = grad.gx.rowPtr(y0 + dy) + x0;
+            const float *gx1 = grad.gx.rowPtr(y0 + dy + 1) + x0;
+            const float *gy0 = grad.gy.rowPtr(y0 + dy) + x0;
+            const float *gy1 = grad.gy.rowPtr(y0 + dy + 1) + x0;
+            for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
+                iv[idx] = w00 * p0[dx] + w10 * p0[dx + 1] + w01 * p1[dx] +
+                          w11 * p1[dx + 1];
+                const double gx = w00 * gx0[dx] + w10 * gx0[dx + 1] +
+                                  w01 * gx1[dx] + w11 * gx1[dx + 1];
+                const double gy = w00 * gy0[dx] + w10 * gy0[dx + 1] +
+                                  w01 * gy1[dx] + w11 * gy1[dx + 1];
+                ix[idx] = gx;
+                iy[idx] = gy;
+                g(0, 0) += gx * gx;
+                g(0, 1) += gx * gy;
+                g(1, 1) += gy * gy;
+            }
         }
     }
     g(1, 0) = g(0, 1);
@@ -97,17 +123,30 @@ trackAtLevel(const ImageU8 &prev, const Gradients &grad,
 
         Vec2 b;
         double res = 0.0;
-        idx = 0;
-        for (int dy = -r; dy <= r; ++dy) {
-            const uint8_t *r0 = next.rowPtr(ny0 + dy) + nx0 - r;
-            const uint8_t *r1 = next.rowPtr(ny0 + dy + 1) + nx0 - r;
-            for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
-                double sample = q00 * r0[dx] + q10 * r0[dx + 1] +
-                                q01 * r1[dx] + q11 * r1[dx + 1];
-                double dI = sample - iv[idx];
-                b[0] += dI * ix[idx];
-                b[1] += dI * iy[idx];
-                res += std::abs(dI);
+        if (wide) {
+#if defined(EDX_HAVE_AVX2)
+            avx2::lkIterationTerms(next.rowPtr(ny0 - r) + nx0 - r,
+                                   next.width(), q00, q10, q01, q11, iv, ix,
+                                   iy, dix, diy, adi);
+#endif
+            for (int i = 0; i < n; ++i) {
+                b[0] += dix[i];
+                b[1] += diy[i];
+                res += adi[i];
+            }
+        } else {
+            int idx = 0;
+            for (int dy = -r; dy <= r; ++dy) {
+                const uint8_t *r0 = next.rowPtr(ny0 + dy) + nx0 - r;
+                const uint8_t *r1 = next.rowPtr(ny0 + dy + 1) + nx0 - r;
+                for (int dx = 0; dx <= 2 * r; ++dx, ++idx) {
+                    double sample = q00 * r0[dx] + q10 * r0[dx + 1] +
+                                    q01 * r1[dx] + q11 * r1[dx + 1];
+                    double dI = sample - iv[idx];
+                    b[0] += dI * ix[idx];
+                    b[1] += dI * iy[idx];
+                    res += std::abs(dI);
+                }
             }
         }
         residual_out = res / n;
@@ -138,8 +177,8 @@ trackedLevels(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
 bool
 trackPoint(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
            const Pyramid &next, const std::vector<KeyPoint> &prev_pts,
-           int i, int levels, const FlowConfig &cfg, FlowScratch &scratch,
-           TemporalMatch &m)
+           int i, int levels, const FlowConfig &cfg, bool wide,
+           FlowScratch &scratch, TemporalMatch &m)
 {
     const KeyPoint &kp = prev_pts[i];
     // Start at the coarsest level with the identity guess.
@@ -152,7 +191,7 @@ trackPoint(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
         double px = kp.x / s, py = kp.y / s;
         double cx = nx, cy = ny;
         ok = trackAtLevel(prev.level(l), prev_grads[l], next.level(l), px,
-                          py, cx, cy, cfg, scratch, residual);
+                          py, cx, cy, cfg, wide, scratch, residual);
         if (ok) {
             nx = cx;
             ny = cy;
@@ -174,6 +213,20 @@ trackPoint(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
     m = {i, static_cast<float>(nx), static_cast<float>(ny),
          static_cast<float>(residual)};
     return true;
+}
+
+/** trackLucasKanadeRange with the window path chosen by the caller. */
+void
+trackRange(const Pyramid &prev, const std::vector<Gradients> &prev_grads,
+           const Pyramid &next, const std::vector<KeyPoint> &prev_pts,
+           int begin, int end, const FlowConfig &cfg, bool wide,
+           FlowScratch &scratch, std::vector<TemporalMatch> &slots)
+{
+    const int levels = trackedLevels(prev, prev_grads, next, cfg);
+    for (int i = begin; i < end; ++i)
+        if (levels <= 0 || !trackPoint(prev, prev_grads, next, prev_pts, i,
+                                       levels, cfg, wide, scratch, slots[i]))
+            slots[i] = TemporalMatch{};
 }
 
 } // namespace
@@ -201,11 +254,14 @@ trackLucasKanadeRange(const Pyramid &prev,
                       int end, const FlowConfig &cfg, FlowScratch &scratch,
                       std::vector<TemporalMatch> &slots)
 {
-    const int levels = trackedLevels(prev, prev_grads, next, cfg);
-    for (int i = begin; i < end; ++i)
-        if (levels <= 0 || !trackPoint(prev, prev_grads, next, prev_pts, i,
-                                       levels, cfg, scratch, slots[i]))
-            slots[i] = TemporalMatch{};
+#if defined(EDX_HAVE_AVX2)
+    const bool wide = simdTierIsAvx2() &&
+                      cfg.window_radius == avx2::kLkWideRadius;
+#else
+    const bool wide = false;
+#endif
+    trackRange(prev, prev_grads, next, prev_pts, begin, end, cfg, wide,
+               scratch, slots);
 }
 
 void
@@ -244,9 +300,13 @@ trackLucasKanadeReference(const Pyramid &prev, const Pyramid &next,
     std::vector<Gradients> grads;
     for (int l = 0; l < levels; ++l)
         grads.push_back(centralDiffGradientsReference(prev.level(l)));
+    // Scalar windows on every tier: the reference never dispatches.
     FlowScratch scratch;
-    std::vector<TemporalMatch> out;
-    trackLucasKanadeInto(prev, grads, next, prev_pts, cfg, scratch, out);
+    std::vector<TemporalMatch> out(prev_pts.size());
+    trackRange(prev, grads, next, prev_pts, 0,
+               static_cast<int>(prev_pts.size()), cfg, /*wide=*/false,
+               scratch, out);
+    dropLostTracks(out);
     return out;
 }
 

@@ -16,6 +16,13 @@
  * zero-alloc form over caller-cached gradients;
  * trackLucasKanadeReference() recomputes the gradients per call
  * through the scalar reference kernel (golden-tested bit-exact).
+ *
+ * On the AVX2 tier, with the default 7-px window radius, the window's
+ * elementwise products (DC's bilinear intensity and gradients, LSS's
+ * dI * ix, dI * iy and |dI|) come from an AVX2 twin
+ * (features/optical_flow_avx2.hpp) and the six window sums stay scalar
+ * in index order, so every tier tracks bit-identically. The reference
+ * runs the scalar windows on every tier.
  */
 #pragma once
 
@@ -44,11 +51,17 @@ struct FlowScratch
     std::vector<double> iv; //!< template window intensities
     std::vector<double> ix; //!< template window x-gradients
     std::vector<double> iy; //!< template window y-gradients
+    // One iteration's per-sample terms, written by the AVX2 tier and
+    // summed in index order: dI * ix, dI * iy and |dI|.
+    std::vector<double> dix;
+    std::vector<double> diy;
+    std::vector<double> adi;
 
     size_t
     capacityBytes() const
     {
-        return (iv.capacity() + ix.capacity() + iy.capacity()) *
+        return (iv.capacity() + ix.capacity() + iy.capacity() +
+                dix.capacity() + diy.capacity() + adi.capacity()) *
                sizeof(double);
     }
 };

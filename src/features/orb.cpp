@@ -3,7 +3,11 @@
 #include <array>
 #include <cmath>
 
+#include "math/cpu_features.hpp"
 #include "math/rng.hpp"
+#if defined(EDX_HAVE_AVX2)
+#include "features/orb_avx2.hpp"
+#endif
 
 namespace edx {
 
@@ -44,6 +48,29 @@ briefPattern()
     }();
     return pattern;
 }
+
+#if defined(EDX_HAVE_AVX2)
+/**
+ * briefPattern() as four 256-float arrays back to back (ax, ay, bx,
+ * by), the layout the AVX2 sampler loads 8 pairs at a time from.
+ */
+const float *
+briefPatternSoA()
+{
+    static const auto soa = [] {
+        std::array<float, 4 * 256> s{};
+        const auto &p = briefPattern();
+        for (int i = 0; i < 256; ++i) {
+            s[i] = p[i].ax;
+            s[256 + i] = p[i].ay;
+            s[512 + i] = p[i].bx;
+            s[768 + i] = p[i].by;
+        }
+        return s;
+    }();
+    return soa.data();
+}
+#endif
 
 /**
  * Largest |dx| with dx^2 + dy^2 <= r^2 per |dy| row of the circular
@@ -169,6 +196,10 @@ computeOrbDescriptorsRange(const ImageU8 &img, std::vector<KeyPoint> &kps,
                            std::vector<Descriptor> &out)
 {
     const auto &pattern = briefPattern();
+#if defined(EDX_HAVE_AVX2)
+    const float *wide_pattern =
+        simdTierIsAvx2() ? briefPatternSoA() : nullptr;
+#endif
     for (size_t i = begin; i < end; ++i) {
         KeyPoint &kp = kps[i];
         if (!img.containsWithBorder(kp.x, kp.y, kOrbPatchRadius + 1)) {
@@ -183,6 +214,17 @@ computeOrbDescriptorsRange(const ImageU8 &img, std::vector<KeyPoint> &kps,
             img.containsWithBorder(kp.x, kp.y, kOrbFastBorder);
 
         Descriptor d;
+#if defined(EDX_HAVE_AVX2)
+        if (interior && wide_pattern) {
+            // Bit-identical 8-wide twin of the loop below (the bytes of
+            // the four words are the 32 bit groups, little-endian).
+            avx2::briefDescriptor(
+                img.data(), img.width(), kp.x, kp.y, ca, sa, wide_pattern,
+                reinterpret_cast<unsigned char *>(d.bits.data()));
+            out[i] = d;
+            continue;
+        }
+#endif
         for (int b = 0; b < 256; ++b) {
             const PointPair &pp = pattern[b];
             // Rotate the sampling pair by the patch orientation.

@@ -15,7 +15,11 @@
  * point and the image alone, which lets the frontend split the list
  * into chunks (computeOrbDescriptorsRange) across lanes.
  * computeOrbDescriptorsReference() retains the scalar clamped-sampling
- * formulation; the two are bit-exact (golden-tested).
+ * formulation; the two are bit-exact (golden-tested). On the AVX2 tier
+ * the interior points' 256 comparisons run 8 at a time in an AVX2 twin
+ * (features/orb_avx2.hpp) that keeps the scalar expression order per
+ * element, so descriptors are bit-identical on every tier; the
+ * reference never dispatches.
  */
 #pragma once
 

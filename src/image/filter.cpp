@@ -53,36 +53,6 @@ gaussianKernelFixed()
     return k;
 }
 
-template <typename T>
-Image<float>
-separableBlurF(const Image<T> &in)
-{
-    const auto k = gaussianKernel();
-    const int w = in.width(), h = in.height();
-    Image<float> tmp(w, h), out(w, h);
-
-    // Horizontal pass with edge clamping.
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            float s = 0.0f;
-            for (int i = -kR; i <= kR; ++i)
-                s += k[i + kR] *
-                     static_cast<float>(in.atClamped(x + i, y));
-            tmp.at(x, y) = s;
-        }
-    }
-    // Vertical pass.
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            float s = 0.0f;
-            for (int i = -kR; i <= kR; ++i)
-                s += k[i + kR] * tmp.atClamped(x, y + i);
-            out.at(x, y) = s;
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 #if defined(__SSE2__)
@@ -265,12 +235,6 @@ gaussianBlurReference(const ImageU8 &in)
         }
     }
     return out;
-}
-
-ImageF
-gaussianBlur(const ImageF &in)
-{
-    return separableBlurF(in);
 }
 
 bool

@@ -55,9 +55,6 @@ bool gaussianBlurInto(const ImageU8 &in, BlurScratch &scratch,
 /** Scalar reference of the fixed-point Gaussian (golden tests). */
 ImageU8 gaussianBlurReference(const ImageU8 &in);
 
-/** Gaussian blur on a float image (same kernel shape, float weights). */
-ImageF gaussianBlur(const ImageF &in);
-
 /** Horizontal and vertical image gradients. */
 struct Gradients
 {

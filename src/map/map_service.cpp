@@ -5,6 +5,7 @@
 
 #include "backend/pose_opt.hpp"
 #include "features/matcher.hpp"
+#include "math/cpu_features.hpp"
 
 namespace edx {
 
@@ -105,6 +106,10 @@ MapService::stats() const
 void
 MapService::workerLoop()
 {
+    // A merge rebuilds the whole merged map (hundreds of ms at fleet
+    // scale) and no frame waits for it, so it yields the CPU to frame
+    // work; published maps do not depend on when it runs.
+    lowerThreadPriority();
     for (;;) {
         std::vector<InboxItem> batch;
         uint64_t taken = 0;

@@ -6,6 +6,10 @@
 #include <thread>
 
 #include <sched.h>
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 namespace edx {
 
@@ -120,6 +124,14 @@ availableCpus()
     if (sched_getaffinity(0, sizeof set, &set) == 0)
         return std::max(1, CPU_COUNT(&set));
     return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void
+lowerThreadPriority()
+{
+#if defined(__linux__)
+    setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()), 10);
+#endif
 }
 
 } // namespace edx

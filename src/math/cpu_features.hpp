@@ -3,10 +3,11 @@
  * Runtime CPU-dispatch layer for the SIMD kernel tiers.
  *
  * The hot kernels (math/blas, math/decomp panels, image/filter,
- * features/fast) are built in tiers: an SSE2 baseline compiled into
- * every translation unit, plus optional wider tiers compiled into
- * separate TUs with their own -m flags (math/simd_avx2.cpp et al.) so
- * the binary still runs on hosts without those extensions. The active
+ * features/fast, features/orb, features/optical_flow) are built in
+ * tiers: an SSE2 baseline compiled into every translation unit, plus
+ * optional wider tiers compiled into separate TUs with their own -m
+ * flags (math/simd_avx2.cpp et al.) so the binary still runs on hosts
+ * without those extensions. The active
  * tier is resolved once at startup:
  *
  *   active = min(requested via EDX_SIMD_LEVEL, detected by cpuid,
@@ -26,6 +27,7 @@
  *
  * availableCpus() is the other host fact the runtime sizes itself by:
  * the pool's elastic worker bound and the frontend's lane count.
+ * lowerThreadPriority() sits beside it as the one other OS call.
  */
 #pragma once
 
@@ -96,5 +98,13 @@ std::string simdTierSummary();
  * read). Always at least 1.
  */
 int availableCpus();
+
+/**
+ * Lowers the calling thread's scheduling priority to nice 10, for
+ * background work that must not preempt frame work (the map-merge
+ * worker). Linux nice values are per thread, and raising one's own
+ * needs no privilege; elsewhere this is a no-op.
+ */
+void lowerThreadPriority();
 
 } // namespace edx

@@ -340,19 +340,6 @@ MatX::mirrorLowerToUpper()
             (*this)(i, j) = (*this)(j, i);
 }
 
-void
-MatX::makeSymmetric()
-{
-    assert(rows_ == cols_);
-    for (int i = 0; i < rows_; ++i) {
-        for (int j = i + 1; j < cols_; ++j) {
-            double v = 0.5 * ((*this)(i, j) + (*this)(j, i));
-            (*this)(i, j) = v;
-            (*this)(j, i) = v;
-        }
-    }
-}
-
 MatX
 operator*(double s, const MatX &m)
 {

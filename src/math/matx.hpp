@@ -274,9 +274,6 @@ class MatX
      */
     void removeRowsAndCols(int at, int n);
 
-    /** Symmetrizes in place: A <- (A + A^T) / 2 (square matrices only). */
-    void makeSymmetric();
-
     /**
      * Copies the lower triangle onto the upper one (exact symmetry
      * from a triangle-only kernel; square matrices only).

@@ -19,6 +19,7 @@
 #include "frontend/lane_group.hpp"
 #include "image/filter.hpp"
 #include "sim/dataset.hpp"
+#include "simd_tiers.hpp"
 
 // --- global allocation counter ------------------------------------------
 // The zero-alloc acceptance test counts *every* heap allocation made
@@ -437,7 +438,8 @@ TEST(Frontend, OptimizedPathMatchesReferencePath)
     // The whole frontend (workspace kernels, banded stereo, cached
     // gradients, lanes) against the kernel twins composed above:
     // bit-exact products over a multi-frame sequence, on the VGA drone
-    // and on the 720p outdoor car.
+    // and on the 720p outdoor car, on every SIMD tier (the twins never
+    // dispatch, so each tier faces the same scalar oracle).
     DatasetConfig car;
     car.scene = SceneType::OutdoorUnknown;
     car.platform = Platform::Car;
@@ -445,24 +447,29 @@ TEST(Frontend, OptimizedPathMatchesReferencePath)
     car.seed = 21;
     for (const DatasetConfig &cfg : {droneScene(3), car}) {
         Dataset d(cfg);
-        VisionFrontend opt;
-        ReferenceFrontend ref;
-        for (int i = 0; i < 3; ++i) {
-            DatasetFrame f = d.frame(i);
-            SCOPED_TRACE(std::to_string(f.stereo.left.width()) +
-                         "px wide, frame " + std::to_string(i));
-            FrontendOutput a =
-                opt.processFrame(f.stereo.left, f.stereo.right);
-            FrontendOutput b =
-                ref.process(f.stereo.left, f.stereo.right);
-            expectOutputsIdentical(a, b);
-            EXPECT_EQ(a.workload.stereo_candidates_allpairs,
-                      b.workload.stereo_candidates_allpairs);
-            // The banded matcher must evaluate a strict subset of the
-            // all-pairs sweep.
-            EXPECT_LE(a.workload.stereo_candidates,
-                      a.workload.stereo_candidates_allpairs);
-        }
+        std::vector<DatasetFrame> frames;
+        for (int i = 0; i < 3; ++i)
+            frames.push_back(d.frame(i));
+        forEachSimdTier([&] {
+            VisionFrontend opt;
+            ReferenceFrontend ref;
+            for (const DatasetFrame &f : frames) {
+                SCOPED_TRACE(std::to_string(f.stereo.left.width()) +
+                             "px wide, frame " +
+                             std::to_string(&f - frames.data()));
+                FrontendOutput a =
+                    opt.processFrame(f.stereo.left, f.stereo.right);
+                FrontendOutput b =
+                    ref.process(f.stereo.left, f.stereo.right);
+                expectOutputsIdentical(a, b);
+                EXPECT_EQ(a.workload.stereo_candidates_allpairs,
+                          b.workload.stereo_candidates_allpairs);
+                // The banded matcher must evaluate a strict subset of
+                // the all-pairs sweep.
+                EXPECT_LE(a.workload.stereo_candidates,
+                          a.workload.stereo_candidates_allpairs);
+            }
+        });
     }
 }
 

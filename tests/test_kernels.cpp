@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "features/fast.hpp"
@@ -22,34 +23,10 @@
 #include "image/pyramid.hpp"
 #include "math/rng.hpp"
 #include "math/cpu_features.hpp"
+#include "simd_tiers.hpp"
 
 namespace edx {
 namespace {
-
-/**
- * Runs @p fn once per SIMD tier available at runtime (SSE2 always;
- * AVX2 when the host and build support it), restoring the startup tier
- * afterwards. The golden sweeps below run under every tier so each
- * per-tier kernel faces the same exactness contract — on an SSE2-only
- * host the loop degenerates to the baseline tier. Tier forcing from
- * the outside works too: under EDX_SIMD_LEVEL=sse2 the detected tier
- * is still the host's, so this loop intentionally uses the *startup*
- * tier as its ceiling to honor the override.
- */
-template <typename Fn>
-void
-forEachSimdTier(Fn &&fn)
-{
-    const SimdTier startup = activeSimdTier();
-    for (int t = 0; t <= static_cast<int>(startup); ++t) {
-        const SimdTier tier = static_cast<SimdTier>(t);
-        setSimdTier(tier);
-        testing::ScopedTrace trace(__FILE__, __LINE__,
-                                   simdTierName(tier));
-        fn();
-    }
-    setSimdTier(startup);
-}
 
 ImageU8
 noisyImage(int w, int h, uint64_t seed, int patches = 12)
@@ -201,6 +178,40 @@ TEST(FastGolden, ScratchReuseIsCleanAcrossImages)
     });
 }
 
+/** computeOrbDescriptors against its scalar reference, angles too. */
+void
+expectOrbMatchesReference(const ImageU8 &img, std::vector<KeyPoint> kps)
+{
+    std::vector<KeyPoint> kps_ref = kps;
+    std::vector<Descriptor> fast = computeOrbDescriptors(img, kps);
+    std::vector<Descriptor> ref =
+        computeOrbDescriptorsReference(img, kps_ref);
+    ASSERT_EQ(fast.size(), ref.size());
+    for (size_t i = 0; i < fast.size(); ++i)
+        EXPECT_EQ(fast[i], ref[i])
+            << "descriptor " << i << " at " << kps[i].x << ","
+            << kps[i].y;
+    expectKeypointsIdentical(kps, kps_ref); // written-back angles
+}
+
+/** LK (cached gradients) against its scalar reference, per track. */
+void
+expectLkMatchesReference(const Pyramid &prev, const Pyramid &next,
+                         const std::vector<KeyPoint> &kps,
+                         size_t min_tracks)
+{
+    auto fast = trackLucasKanade(prev, next, kps);
+    auto ref = trackLucasKanadeReference(prev, next, kps);
+    ASSERT_GE(fast.size(), min_tracks);
+    ASSERT_EQ(fast.size(), ref.size());
+    for (size_t i = 0; i < fast.size(); ++i) {
+        EXPECT_EQ(fast[i].prev_index, ref[i].prev_index);
+        EXPECT_EQ(fast[i].x, ref[i].x);
+        EXPECT_EQ(fast[i].y, ref[i].y);
+        EXPECT_EQ(fast[i].residual, ref[i].residual);
+    }
+}
+
 TEST(OrbGolden, DescriptorsAndAnglesMatchReference)
 {
     ImageU8 img = noisyImage(320, 240, 31, 40);
@@ -218,24 +229,85 @@ TEST(OrbGolden, DescriptorsAndAnglesMatchReference)
     kps.push_back({20.5f, 100.2f, 1.0f, 0.0f});
     kps.push_back({5.0f, 5.0f, 1.0f, 0.0f}); // border: zero descriptor
 
-    std::vector<KeyPoint> kps_ref = kps;
-    std::vector<Descriptor> fast = computeOrbDescriptors(blurred, kps);
-    std::vector<Descriptor> ref =
-        computeOrbDescriptorsReference(blurred, kps_ref);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (size_t i = 0; i < fast.size(); ++i)
-        EXPECT_EQ(fast[i], ref[i]) << "descriptor " << i;
-    expectKeypointsIdentical(kps, kps_ref); // written-back angles
+    forEachSimdTier([&] { expectOrbMatchesReference(blurred, kps); });
 }
 
 TEST(OrbGolden, OrientationMatchesReferenceNearBorders)
 {
     ImageU8 img = noisyImage(64, 64, 32, 6);
-    for (auto [x, y] : {std::pair{32.0f, 32.0f}, {16.0f, 16.0f},
-                        {8.0f, 40.0f}, {60.0f, 60.0f}})
-        EXPECT_EQ(orbOrientation(img, x, y),
-                  orbOrientationReference(img, x, y))
-            << "at " << x << "," << y;
+    forEachSimdTier([&] {
+        for (auto [x, y] : {std::pair{32.0f, 32.0f}, {16.0f, 16.0f},
+                            {8.0f, 40.0f}, {60.0f, 60.0f}})
+            EXPECT_EQ(orbOrientation(img, x, y),
+                      orbOrientationReference(img, x, y))
+                << "at " << x << "," << y;
+    });
+}
+
+TEST(SimdBorders, WideReadsAtTheInteriorMarginsMatchScalarTwins)
+{
+    // The AVX2 twins read bytes the scalar code does not: a BRIEF
+    // gather reads 4 bytes per tap row (x0 - 2 .. x0 + 1), an LK row
+    // step reads column x0 + 16. Key points sit exactly on the margins
+    // that admit them to the wide paths, on an image 157 px wide (not a
+    // multiple of 16) whose last row ends its allocation. Under ASan the
+    // LK loads are checked too (gathers are not): on the right margin
+    // they reach the last column of every level.
+    const int w = 157, h = 117;
+    ImageU8 img = noisyImage(w, h, 61, 20);
+    ImageU8 blurred = gaussianBlur(img);
+
+    // ORB: the interior margin is 21 px (x >= 21 and x < w - 21); put
+    // points on it, 1 px inside it, and just outside it, along every
+    // edge. The noise turns their patterns every way, so their taps
+    // reach toward every edge.
+    std::vector<KeyPoint> orb_kps;
+    const float hi_x = std::nextafter(static_cast<float>(w - 21), 0.0f);
+    const float hi_y = std::nextafter(static_cast<float>(h - 21), 0.0f);
+    for (float margin : {21.0f, 22.0f, 20.0f}) {
+        const float far_x = margin == 21.0f ? hi_x : w - margin;
+        const float far_y = margin == 21.0f ? hi_y : h - margin;
+        for (float t = margin; t <= far_x; t += 3.5f) {
+            orb_kps.push_back({t, margin, 1.0f, 0.0f});
+            orb_kps.push_back({t, far_y, 1.0f, 0.0f});
+        }
+        for (float t = margin; t <= far_y; t += 3.5f) {
+            orb_kps.push_back({margin, t, 1.0f, 0.0f});
+            orb_kps.push_back({far_x, t, 1.0f, 0.0f});
+        }
+        orb_kps.push_back({far_x, far_y, 1.0f, 0.0f});
+    }
+
+    // LK: a level-l point at p tracks that level only while
+    // p >= r + 2 and p < size - (r + 2) (r = 7); put points on both
+    // edges of that band at every level, each corner included.
+    Pyramid prev(img, 3), moved(blurred, 3);
+    ASSERT_EQ(prev.levels(), 3);
+    std::vector<KeyPoint> lk_kps;
+    const int b = FlowConfig{}.window_radius + 2;
+    for (int l = 0; l < prev.levels(); ++l) {
+        const float s = static_cast<float>(1 << l);
+        const float lo = b * s;
+        const float far_x =
+            std::nextafter((prev.level(l).width() - b) * s, 0.0f);
+        const float far_y =
+            std::nextafter((prev.level(l).height() - b) * s, 0.0f);
+        for (float x : {lo, far_x})
+            for (float y : {lo, far_y})
+                lk_kps.push_back({x, y, 1.0f, 0.0f});
+        lk_kps.push_back({lo, h / 2.0f, 1.0f, 0.0f});
+        lk_kps.push_back({far_x, h / 2.0f, 1.0f, 0.0f});
+        lk_kps.push_back({w / 2.0f, lo, 1.0f, 0.0f});
+        lk_kps.push_back({w / 2.0f, far_y, 1.0f, 0.0f});
+    }
+
+    forEachSimdTier([&] {
+        expectOrbMatchesReference(blurred, orb_kps);
+        // Identical frames keep every point on its border for the
+        // first iteration; the blurred frame moves them off it.
+        expectLkMatchesReference(prev, prev, lk_kps, 1);
+        expectLkMatchesReference(prev, moved, lk_kps, 0);
+    });
 }
 
 TEST(StereoGolden, BandedMatcherIsBitExactWithAllPairs)
@@ -350,16 +422,7 @@ TEST(LkGolden, TracksMatchReference)
         kps.push_back({static_cast<float>(x), static_cast<float>(y), 1, 0});
 
     Pyramid pp(prev, 3), np(next, 3);
-    auto fast = trackLucasKanade(pp, np, kps);
-    auto ref = trackLucasKanadeReference(pp, np, kps);
-    ASSERT_GT(fast.size(), 6u);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (size_t i = 0; i < fast.size(); ++i) {
-        EXPECT_EQ(fast[i].prev_index, ref[i].prev_index);
-        EXPECT_EQ(fast[i].x, ref[i].x);
-        EXPECT_EQ(fast[i].y, ref[i].y);
-        EXPECT_EQ(fast[i].residual, ref[i].residual);
-    }
+    forEachSimdTier([&] { expectLkMatchesReference(pp, np, kps, 7); });
 }
 
 TEST(PyramidGolden, RebuildMatchesFreshConstruction)

@@ -18,34 +18,10 @@
 #include "math/se3.hpp"
 #include "math/stats.hpp"
 #include "math/vec.hpp"
+#include "simd_tiers.hpp"
 
 namespace edx {
 namespace {
-
-/**
- * Runs @p fn once per SIMD tier available at runtime (SSE2 always;
- * AVX2 when the host and build support it), restoring the startup tier
- * afterwards. The golden sweeps below run under every tier so each
- * per-tier kernel faces the same exactness contract — on an SSE2-only
- * host the loop degenerates to the baseline tier. Tier forcing from
- * the outside works too: under EDX_SIMD_LEVEL=sse2 the detected tier
- * is still the host's, so this loop intentionally uses the *startup*
- * tier as its ceiling to honor the override.
- */
-template <typename Fn>
-void
-forEachSimdTier(Fn &&fn)
-{
-    const SimdTier startup = activeSimdTier();
-    for (int t = 0; t <= static_cast<int>(startup); ++t) {
-        const SimdTier tier = static_cast<SimdTier>(t);
-        setSimdTier(tier);
-        testing::ScopedTrace trace(__FILE__, __LINE__,
-                                   simdTierName(tier));
-        fn();
-    }
-    setSimdTier(startup);
-}
 
 TEST(Vec, BasicArithmetic)
 {
@@ -204,16 +180,6 @@ TEST(MatX, ConservativeResizePreservesContent)
     m.conservativeResize(1, 1);
     EXPECT_EQ(m.rows(), 1);
     EXPECT_DOUBLE_EQ(m(0, 0), 1.0);
-}
-
-TEST(MatX, MakeSymmetric)
-{
-    MatX m(2, 2);
-    m(0, 1) = 2.0;
-    m(1, 0) = 4.0;
-    m.makeSymmetric();
-    EXPECT_DOUBLE_EQ(m(0, 1), 3.0);
-    EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
 }
 
 class SpdFixture : public ::testing::TestWithParam<int>
