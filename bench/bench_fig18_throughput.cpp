@@ -51,11 +51,11 @@ platformReport(Platform platform, const AcceleratorConfig &acfg,
         cfg.force_mode = mode;
         // The sequential baseline, the planner profiles, and the
         // accelerator-model inputs all come from one uncontended
-        // stages=1 run; the pipelined rows are derived from its
+        // one-stage run; the pipelined rows are derived from its
         // recorded sub-stage latencies (the paper's own derivation —
         // steady-state interval = the slower stage).
         PipelineConfig seq_cfg;
-        seq_cfg.stages = 1;
+        seq_cfg.cuts = {};
         PipelinedRun seq = runPipelined(cfg, seq_cfg);
         SystemRun sys = modelSystem(seq.run, acfg);
 

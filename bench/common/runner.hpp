@@ -122,7 +122,7 @@ struct PipelinedRun
 
 /**
  * Runs the localizer through a FramePipeline with the given topology
- * (pcfg.stages = 1 sequential, 2 overlapped frontend/backend).
+ * (pcfg.cuts = {} sequential, {2} overlapped frontend/backend).
  */
 PipelinedRun runPipelined(const RunConfig &cfg,
                           const PipelineConfig &pcfg);

@@ -6,10 +6,15 @@
 #include <string>
 
 #include "math/cpu_features.hpp"
+#include "runtime/pipeline.hpp"
+#include "runtime/replan.hpp"
 
 namespace edx {
 
 namespace {
+
+constexpr int kSolve = static_cast<int>(PipeNode::Solve);
+constexpr int kFinish = static_cast<int>(PipeNode::Finish);
 
 double
 msSince(std::chrono::steady_clock::time_point t0)
@@ -17,6 +22,44 @@ msSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** End (exclusive) of the segment of @p cuts that holds @p node. */
+int
+segmentEnd(const std::vector<int> &cuts, int node)
+{
+    for (int c : cuts)
+        if (c >= node)
+            return c + 1;
+    return kPipelineNodes;
+}
+
+/** Index of the segment of @p cuts that holds @p node. */
+int
+segmentIndex(const std::vector<int> &cuts, int node)
+{
+    return static_cast<int>(
+        std::count_if(cuts.begin(), cuts.end(), [&](int c) {
+            return c < node;
+        }));
+}
+
+/**
+ * Whether frame @p seq of a session with node progress @p done and
+ * @p finish_started may run the nodes of a segment ending at @p end.
+ * Frame seq-1 must have completed node end-1 (and so every earlier
+ * node). A segment that stops right before the finish holds a solve
+ * that may wait inside the localizer for finish(seq-1) (SLAM, mode
+ * switches), so it starts only once that finish is running: a worker
+ * never waits on work still queued.
+ */
+bool
+nodesReady(const std::array<long, kPipelineNodes> &done,
+           long finish_started, long seq, int end)
+{
+    if (done[end - 1] < seq)
+        return false;
+    return end != kFinish || finish_started >= seq;
 }
 
 } // namespace
@@ -35,7 +78,14 @@ qosClassName(QosClass q)
     return "?";
 }
 
-LocalizerPool::LocalizerPool(const PoolConfig &cfg) : cfg_(cfg)
+LocalizerPool::LocalizerPool(const PoolConfig &cfg)
+    : LocalizerPool(cfg, nullptr, {}, nullptr)
+{}
+
+LocalizerPool::LocalizerPool(const PoolConfig &cfg, Localizer *staged,
+                             const std::vector<int> &cuts,
+                             SessionReplanner *replanner)
+    : cfg_(cfg)
 {
     if (cfg_.workers < 1)
         cfg_.workers = 1;
@@ -82,31 +132,32 @@ LocalizerPool::LocalizerPool(const PoolConfig &cfg) : cfg_(cfg)
     if (cfg_.elastic_workers)
         initial = std::min(std::max(initial, min_workers_), max_workers_);
 
-    std::lock_guard<std::mutex> lk(m_);
-    for (int i = 0; i < initial; ++i) {
-        workers_.emplace_back(&LocalizerPool::workerLoop, this);
-        ++live_workers_;
+    // FramePipeline's session exists before any worker starts, and the
+    // workers start without m_ held, so none of them contends with this
+    // thread. Only a dispatched frame can grow workers_, and none can
+    // be submitted before the constructor returns.
+    if (staged) {
+        auto s = std::make_unique<Session>();
+        s->loc = staged;
+        s->replanner = replanner;
+        setCutsLocked(*s, cuts);
+        sessions_.push_back(std::move(s));
     }
+    live_workers_ = initial;
+    workers_.reserve(initial);
+    for (int i = 0; i < initial; ++i)
+        workers_.emplace_back(&LocalizerPool::workerLoop, this);
 }
 
-void
+bool
 LocalizerPool::spawnWorkerLocked()
 {
+    // shutdown() joins workers_ without m_ once stopping_ is set.
+    if (stopping_)
+        return false;
     workers_.emplace_back(&LocalizerPool::workerLoop, this);
     ++live_workers_;
-    ++workers_grown_;
-    notifyResourceShiftLocked();
-}
-
-void
-LocalizerPool::notifyResourceShiftLocked()
-{
-    // A live_workers_ transition changed the machine's effective width;
-    // every replanning session should re-fit on its next completed
-    // frame instead of drifting through a stale cadence window.
-    for (auto &s : sessions_)
-        if (s->replanner)
-            s->replanner->notifyResourceShift();
+    return true;
 }
 
 LocalizerPool::~LocalizerPool() { shutdown(); }
@@ -130,7 +181,8 @@ LocalizerPool::addSession(std::unique_ptr<Localizer> localizer,
     assert(localizer);
     std::lock_guard<std::mutex> lk(m_);
     auto s = std::make_unique<Session>();
-    s->loc = std::move(localizer);
+    s->owned = std::move(localizer);
+    s->loc = s->owned.get();
     s->cfg = session;
     s->stats.qos = session.qos;
     // The pool's workers already take every core: a session's frontend
@@ -140,12 +192,6 @@ LocalizerPool::addSession(std::unique_ptr<Localizer> localizer,
         s->loc->setSolveHub(&hub_);
     if (cfg_.map_service && session.share_map)
         s->loc->attachMapService(cfg_.map_service);
-    if (cfg_.replan) {
-        s->replanner = std::make_unique<SessionReplanner>(cfg_.replan_cfg);
-        // Seed with the classic frontend|backend split — the topology
-        // every session would run statically.
-        s->plan_cuts = {static_cast<int>(PipeNode::Tm)};
-    }
     if (session.qos == QosClass::SafetyCritical)
         have_safety_ = true;
     sessions_.push_back(std::move(s));
@@ -163,6 +209,44 @@ LocalizerPool::createSession(const LocalizerConfig &cfg,
     auto loc = std::make_unique<Localizer>(cfg, rig, vocabulary, prior_map);
     loc->initialize(start_pose, t0, start_velocity);
     return addSession(std::move(loc), session);
+}
+
+void
+LocalizerPool::setCutsLocked(Session &s, const std::vector<int> &cuts)
+{
+    s.cuts = cuts;
+    // Between stages a staged session buffers as much as one
+    // queue_capacity-deep queue per boundary, plus the frame each
+    // stage is running; a whole-frame session runs one frame at a time.
+    const size_t stages = cuts.size() + 1;
+    s.max_jobs = stages + (stages - 1) * cfg_.queue_capacity;
+    // Frames already in flight are unaffected: each frontend call reads
+    // the lane count once.
+    s.loc->setFrontendLanes(
+        FramePipeline::frontendLanes(cuts, availableCpus()));
+}
+
+void
+LocalizerPool::swapCutsLocked(Session &s, const std::vector<int> &cuts)
+{
+    setCutsLocked(s, cuts);
+    ++s.cut_swaps;
+    // One worker per stage: a deeper list starts the ones it lacks.
+    while (live_workers_ < static_cast<int>(cuts.size()) + 1 &&
+           spawnWorkerLocked())
+        ;
+}
+
+bool
+LocalizerPool::setCuts(int sid, const std::vector<int> &cuts)
+{
+    std::lock_guard<std::mutex> lk(m_);
+    Session &s = sessionAt(sid);
+    if (stopping_ || cuts == s.cuts)
+        return false;
+    swapCutsLocked(s, cuts);
+    refreshSessionLocked(sid);
+    return true;
 }
 
 void
@@ -189,14 +273,8 @@ LocalizerPool::dropOldestBestEffort()
     s.pending.pop_front();
     ++s.stats.dropped_oldest;
     ++dropped_;
-    const int qi = static_cast<int>(QosClass::BestEffort);
-    --class_queued_[qi];
-    if (s.pending.empty() && !s.running) {
-        auto &rq = runnable_[qi];
-        auto it = std::find(rq.begin(), rq.end(), victim);
-        if (it != rq.end())
-            rq.erase(it);
-    }
+    --class_queued_[static_cast<int>(QosClass::BestEffort)];
+    refreshSessionLocked(victim);
     // No consumer wake-up here: the drop only ever happens mid-submit,
     // and the caller admits its own frame within this same critical
     // section, re-unbalancing the drain predicate before any waiter
@@ -231,17 +309,15 @@ LocalizerPool::admitLocked(std::unique_lock<std::mutex> &lk,
         pf.input = std::move(input);
         pf.admit_seq = ++admit_seq_;
         pf.admit_time = Clock::now();
+        if (s.stats.submitted == 0)
+            s.first_admit = pf.admit_time;
         s.pending.push_back(std::move(pf));
+        s.pending_high_water =
+            std::max(s.pending_high_water, s.pending.size());
         ++class_queued_[qi];
         ++submitted_;
         ++s.stats.submitted;
-        // A session joins the run queue only when no worker owns it;
-        // the owning worker re-enqueues it on release (actor scheduling
-        // keeps per-session frame order).
-        if (!s.running && s.pending.size() == 1) {
-            runnable_[qi].push_back(session_id);
-            work_cv_.notify_one();
-        }
+        refreshSessionLocked(session_id);
     }
     return admitted;
 }
@@ -336,40 +412,83 @@ LocalizerPool::pickSession()
         ++dispatch_count_;
         const int sid = runnable_[qi].front();
         runnable_[qi].pop_front();
+        sessions_[sid]->runnable = false;
         return sid;
     }
     return -1;
 }
 
-void
-LocalizerPool::observeForReplan(Session &s, const LocalizationResult &res)
+bool
+LocalizerPool::canStartLocked(const Session &s) const
 {
-    // The pool-side replan tick (PoolConfig::replan): completed-frame
-    // telemetry streams into the session's windowed profile; a plan
-    // that clears the hysteresis margin becomes the session's new
-    // recommended topology. Runs under m_ — a tick is a handful of
-    // closed-form fits over a small window, far below one frame's cost.
-    if (!s.replanner || !res.ok)
-        return;
-    if (auto plan =
-            s.replanner->observe(res.telemetry, res.mode, s.plan_cuts))
-        s.plan_cuts = plan->cuts;
+    if (s.pending.empty() || s.jobs.size() >= s.max_jobs)
+        return false;
+    // A frame the localizer cannot split runs processFrame() as one
+    // segment once the previous frame has finished.
+    const bool split =
+        s.loc->initialized() && s.pending.front().input.hasImages();
+    const int end = split ? segmentEnd(s.cuts, 0) : kPipelineNodes;
+    return nodesReady(s.done, s.finish_started, s.started, end);
 }
 
 void
-LocalizerPool::finishFrame(int sid, PoolResult r)
+LocalizerPool::refreshSessionLocked(int sid)
 {
     Session &s = *sessions_[sid];
-    s.running = false;
-    ++s.stats.completed;
-    observeForReplan(s, r.result);
-    s.stats.health = r.result.telemetry.health;
-    ++s.stats.health_frames[static_cast<int>(r.result.telemetry.health)];
-    if (r.result.telemetry.dead_reckoned)
-        ++s.stats.dead_reckoned_frames;
-    if (!s.pending.empty()) {
-        runnable_[static_cast<int>(s.cfg.qos)].push_back(sid);
+    for (const std::unique_ptr<Job> &j : s.jobs) {
+        if (j->state != JobState::Waiting)
+            continue;
+        const int end =
+            j->whole ? kPipelineNodes : segmentEnd(j->cuts, j->next);
+        if (!nodesReady(s.done, s.finish_started, j->seq, end))
+            continue;
+        j->state = JobState::Queued;
+        ready_.push_back(j.get());
         work_cv_.notify_one();
+    }
+    const bool start = canStartLocked(s);
+    if (start == s.runnable)
+        return;
+    s.runnable = start;
+    auto &rq = runnable_[static_cast<int>(s.cfg.qos)];
+    if (start) {
+        rq.push_back(sid);
+        work_cv_.notify_one();
+    } else {
+        rq.erase(std::find(rq.begin(), rq.end(), sid));
+    }
+}
+
+void
+LocalizerPool::finishJob(Session &s, Job &job)
+{
+    // The last segment waited for the previous frame's finish, so the
+    // job is the session's oldest and results leave in order.
+    assert(s.jobs.front().get() == &job);
+    PoolResult r;
+    r.session_id = job.sid;
+    r.qos = s.cfg.qos;
+    r.result = std::move(job.res);
+    FrameTelemetry &t = r.result.telemetry;
+    t.queue_wait_ms = job.wait_ms;
+    t.pipeline_stages = static_cast<int>(job.cuts.size()) + 1;
+    t.stage_span_ms = job.span_ms;
+    const bool vision = job.input.hasImages();
+    s.jobs.pop_front(); // destroys job
+
+    ++s.stats.completed;
+    s.stats.health = t.health;
+    ++s.stats.health_frames[static_cast<int>(t.health)];
+    if (t.dead_reckoned)
+        ++s.stats.dead_reckoned_frames;
+    s.wall_ms = msSince(s.first_admit);
+    // Self-repipelining: the completed frame streams into the
+    // replanner, and a proposal that cleared its hysteresis margin
+    // applies to every frame not yet started. A tick is a handful of
+    // closed-form fits over a small window, far below one frame's cost.
+    if (s.replanner && vision && r.result.ok) {
+        if (auto plan = s.replanner->observe(t, r.result.mode, s.cuts))
+            swapCutsLocked(s, plan->cuts);
     }
     results_.push_back(std::move(r));
     ++completed_;
@@ -405,9 +524,9 @@ LocalizerPool::maybeReleaseGang(bool force)
     // current load can form) and the previous wave's backends are done
     // (waves serialize, keeping each rendezvous at full width; the
     // *next* wave's frontends still overlap this wave's backends).
-    // Release at most `workers` backends: more could not execute
-    // concurrently anyway, and announced entries must be claimable
-    // immediately — see expectBackendEntries().
+    // Release at most `workers` frames: more could not execute their
+    // backends concurrently anyway, and announced entries must be
+    // claimable immediately — see expectBackendEntries().
     if (gang_outstanding_ > 0 || gang_staged_.empty())
         return;
     if (!force &&
@@ -437,7 +556,7 @@ LocalizerPool::maybeReleaseGang(bool force)
     // best-effort wave member that a reserved slot gate delays).
     int safety = 0;
     for (int i = 0; i < release; ++i)
-        if (sessions_[gang_staged_[i]]->cfg.qos ==
+        if (sessions_[gang_staged_[i]->sid]->cfg.qos ==
             QosClass::SafetyCritical)
             ++safety;
     if (release - safety > 0)
@@ -445,9 +564,18 @@ LocalizerPool::maybeReleaseGang(bool force)
     if (safety > 0)
         hub_.expectBackendEntries(safety, /*safety=*/true);
     gang_outstanding_ = release;
+    // Released frames are continuations, which workers take before any
+    // new frame: each was pre-announced to the hub, and the rendezvous
+    // holds every parked request until all announced stages are in.
+    // (Reserved worker slots gate new frames, not announced backends —
+    // an announced entry that never arrives would stall the hub.)
     for (int i = 0; i < release; ++i) {
-        gang_released_.push_back(gang_staged_.front());
+        Job *j = gang_staged_.front();
         gang_staged_.pop_front();
+        j->park = false;
+        j->released = true;
+        j->state = JobState::Queued;
+        ready_.push_back(j);
     }
     work_cv_.notify_all();
 }
@@ -456,8 +584,7 @@ bool
 LocalizerPool::waitForWork(std::unique_lock<std::mutex> &lk)
 {
     auto ready = [&] {
-        return !gang_released_.empty() || stopping_ ||
-               pickableClass() >= 0;
+        return !ready_.empty() || stopping_ || pickableClass() >= 0;
     };
     const auto timeout = std::chrono::duration_cast<Clock::duration>(
         std::chrono::duration<double, std::milli>(cfg_.gang_timeout_ms));
@@ -504,7 +631,6 @@ LocalizerPool::waitForWork(std::unique_lock<std::mutex> &lk)
                     Clock::now() >= idle_since + idle_limit) {
                     --live_workers_;
                     ++workers_retired_;
-                    notifyResourceShiftLocked();
                     return false;
                 }
             }
@@ -520,40 +646,111 @@ LocalizerPool::waitForWork(std::unique_lock<std::mutex> &lk)
 }
 
 void
-LocalizerPool::runReleasedBackend(std::unique_lock<std::mutex> &lk,
-                                  int sid)
+LocalizerPool::runNodes(Session &s, Job &job, int first, int stop)
 {
-    Session &s = *sessions_[sid];
-    assert(s.running);
-    const bool non_safety = s.cfg.qos != QosClass::SafetyCritical;
-    if (non_safety)
-        ++active_non_safety_;
-    FrameInput input = std::move(s.staged_input);
-    FrontendOutput fe = std::move(s.staged_fe);
-    const double wait_ms = s.staged_wait_ms;
-
-    lk.unlock();
-    PoolResult r;
-    r.session_id = sid;
-    r.qos = s.cfg.qos;
-    {
-        SolveHub::StageGuard guard(&hub_, !non_safety);
-        r.result = s.loc->runBackend(input, fe);
+    if (job.whole) {
+        job.res = s.loc->processFrame(job.input);
+        return;
     }
-    lk.lock();
-    if (non_safety)
-        --active_non_safety_;
-    --gang_outstanding_;
-    r.result.telemetry.queue_wait_ms = wait_ms;
-    finishFrame(sid, std::move(r));
-    maybeReleaseGang(/*force=*/false);
+    FrameInput &in = job.input;
+    Localizer &loc = *s.loc;
+    auto run = [&](int node) {
+        switch (static_cast<PipeNode>(node)) {
+          case PipeNode::Fe:
+            loc.runFrontendFe(in.left, in.right, job.fectx, job.fe);
+            break;
+          case PipeNode::Sm:
+            loc.runFrontendSm(in.left, in.right, job.fectx, job.fe);
+            break;
+          case PipeNode::Tm:
+            loc.runFrontendTm(in.left, job.fectx, job.fe);
+            break;
+          case PipeNode::Solve:
+            loc.runBackendSolve(in, job.fe, job.bectx);
+            break;
+          case PipeNode::Finish:
+            job.res = loc.runBackendFinish(in, job.fe, job.bectx);
+            break;
+        }
+    };
+    int node = first;
+    for (; node < std::min(stop, kSolve); ++node)
+        run(node);
+    if (node == stop)
+        return;
+    // The stage guard scopes exactly the backend: a session chewing on
+    // its frontend must not stall other sessions' kernel rendezvous.
+    // Only whole-frame sessions share a hub, so a guarded range always
+    // holds both solve and finish.
+    SolveHub::StageGuard guard(cfg_.batch_solves ? &hub_ : nullptr,
+                               s.cfg.qos == QosClass::SafetyCritical);
+    for (; node < stop; ++node)
+        run(node);
+}
+
+void
+LocalizerPool::runJob(std::unique_lock<std::mutex> &lk, Job &job)
+{
+    const int sid = job.sid;
+    Session &s = *sessions_[sid];
+    const bool non_safety = s.cfg.qos != QosClass::SafetyCritical;
+    for (;;) {
+        const int first = job.next;
+        const int end =
+            job.whole ? kPipelineNodes : segmentEnd(job.cuts, first);
+        const int stop = job.park ? kSolve : end;
+        if (stop == kPipelineNodes)
+            s.finish_started = job.seq + 1;
+        job.state = JobState::Running;
+        refreshSessionLocked(sid);
+        if (non_safety)
+            ++active_non_safety_;
+        if (job.park)
+            ++gang_frontends_;
+
+        lk.unlock();
+        double span_ms = 0.0;
+        {
+            StageTimer timer(span_ms);
+            runNodes(s, job, first, stop);
+        }
+        lk.lock();
+
+        if (non_safety)
+            --active_non_safety_;
+        const int stage = segmentIndex(job.cuts, first);
+        job.span_ms[stage] += span_ms;
+        s.stage_busy_ms[stage] += span_ms;
+        for (int node = first; node < stop; ++node)
+            s.done[node] = job.seq + 1;
+        job.next = stop;
+
+        if (stop == kPipelineNodes) {
+            if (job.released)
+                --gang_outstanding_;
+            finishJob(s, job);
+        } else if (job.park) {
+            // Frontend done; the backend waits for its gang wave.
+            --gang_frontends_;
+            job.state = JobState::Parked;
+            gang_staged_.push_back(&job);
+        } else if (nodesReady(s.done, s.finish_started, job.seq,
+                              segmentEnd(job.cuts, stop))) {
+            continue; // the next segment runs on this worker at once
+        } else {
+            job.state = JobState::Waiting;
+        }
+        refreshSessionLocked(sid);
+        if (cfg_.gang_window)
+            maybeReleaseGang(/*force=*/false);
+        return;
+    }
 }
 
 void
 LocalizerPool::dispatchSession(std::unique_lock<std::mutex> &lk, int sid)
 {
     Session &s = *sessions_[sid];
-    assert(!s.running && !s.pending.empty());
     const QosClass q = s.cfg.qos;
     const int qi = static_cast<int>(q);
     PendingFrame pf = std::move(s.pending.front());
@@ -569,10 +766,7 @@ LocalizerPool::dispatchSession(std::unique_lock<std::mutex> &lk, int sid)
         // instead of spending a worker on it.
         ++s.stats.dropped_deadline;
         ++dropped_;
-        if (!s.pending.empty()) {
-            runnable_[qi].push_back(sid);
-            work_cv_.notify_one();
-        }
+        refreshSessionLocked(sid);
         result_cv_.notify_all();
         // A frame the window may have been waiting on just evaporated;
         // re-evaluate so a parked wave is not stranded.
@@ -581,7 +775,6 @@ LocalizerPool::dispatchSession(std::unique_lock<std::mutex> &lk, int sid)
         return;
     }
 
-    s.running = true;
     s.stats.queue_wait_total_ms += wait_ms;
     s.stats.queue_wait_max_ms =
         std::max(s.stats.queue_wait_max_ms, wait_ms);
@@ -590,59 +783,25 @@ LocalizerPool::dispatchSession(std::unique_lock<std::mutex> &lk, int sid)
     // runnable work waited — more parallelism would have served it
     // sooner.
     if (cfg_.elastic_workers && live_workers_ < max_workers_ &&
-        wait_ms > cfg_.grow_wait_ms)
-        spawnWorkerLocked();
-    const bool non_safety = q != QosClass::SafetyCritical;
-    if (non_safety)
-        ++active_non_safety_;
+        wait_ms > cfg_.grow_wait_ms && spawnWorkerLocked())
+        ++workers_grown_;
 
-    FrameInput input = std::move(pf.input);
-    const bool splittable = s.loc->initialized() && input.hasImages();
-
-    if (cfg_.gang_window && splittable) {
-        // Frontend now; backend parked at the gang window.
-        ++gang_frontends_;
-        lk.unlock();
-        FrontendOutput fe = s.loc->runFrontend(input.left, input.right);
-        lk.lock();
-        --gang_frontends_;
-        if (non_safety)
-            --active_non_safety_;
-        s.staged_input = std::move(input);
-        s.staged_fe = std::move(fe);
-        s.staged_wait_ms = wait_ms;
-        gang_staged_.push_back(sid);
-        maybeReleaseGang(/*force=*/false);
-        return;
-    }
-
-    lk.unlock();
-    PoolResult r;
-    r.session_id = sid;
-    r.qos = q;
-    if (!splittable) {
-        // Rejected frames never reach the backend; keep them out
-        // of the gang/batching machinery entirely.
-        r.result = s.loc->processFrame(input);
-    } else if (cfg_.batch_solves) {
-        // The stage guard scopes exactly the backend: a session
-        // chewing on its frontend must not stall other sessions'
-        // kernel rendezvous.
-        FrontendOutput fe = s.loc->runFrontend(input.left, input.right);
-        SolveHub::StageGuard guard(&hub_, !non_safety);
-        r.result = s.loc->runBackend(input, fe);
-    } else {
-        r.result = s.loc->processFrame(input);
-    }
-    lk.lock();
-    if (non_safety)
-        --active_non_safety_;
-    r.result.telemetry.queue_wait_ms = wait_ms;
-    finishFrame(sid, std::move(r));
-    // This frame bypassed the window (not splittable); if a parked
-    // wave was waiting on it as joinable, re-evaluate.
-    if (cfg_.gang_window)
-        maybeReleaseGang(/*force=*/false);
+    // The frame takes the session's cut list as it starts. One the
+    // localizer cannot split (not initialized, or no images) runs
+    // processFrame(), as does a whole frame outside a solve hub.
+    auto job = std::make_unique<Job>();
+    job->sid = sid;
+    job->seq = s.started++;
+    job->input = std::move(pf.input);
+    job->wait_ms = wait_ms;
+    const bool split = s.loc->initialized() && job->input.hasImages();
+    if (split)
+        job->cuts = s.cuts;
+    job->whole = !split || (job->cuts.empty() && !cfg_.batch_solves);
+    job->park = split && cfg_.gang_window;
+    Job &j = *job;
+    s.jobs.push_back(std::move(job));
+    runJob(lk, j);
 }
 
 void
@@ -653,15 +812,12 @@ LocalizerPool::workerLoop()
         if (!waitForWork(lk))
             return; // retired by elastic shrink
 
-        // Released gang backends run with strict priority: each was
-        // pre-announced to the hub, and the rendezvous holds every
-        // parked request until all announced stages are in. (Reserved
-        // worker slots gate *dispatch*, not announced backends — an
-        // announced entry that never arrives would stall the hub.)
-        if (!gang_released_.empty()) {
-            const int sid = gang_released_.front();
-            gang_released_.pop_front();
-            runReleasedBackend(lk, sid);
+        // Continuations of started frames run before any new frame
+        // (released gang waves among them).
+        if (!ready_.empty()) {
+            Job *j = ready_.front();
+            ready_.pop_front();
+            runJob(lk, *j);
             continue;
         }
 
@@ -764,13 +920,6 @@ LocalizerPool::stats() const
     out.sessions.reserve(sessions_.size());
     for (const auto &s : sessions_) {
         SessionPoolStats ss = s->stats;
-        if (s->replanner) {
-            ss.plan_cuts = s->plan_cuts;
-            ss.replan = s->replanner->stats();
-            out.replans += ss.replan.ticks;
-            out.plan_updates += ss.replan.proposals;
-            out.plans_held += ss.replan.held;
-        }
         if (s->loc->mapService()) {
             // Atomic counters published by the session's own worker;
             // safe to read while the session is in flight.

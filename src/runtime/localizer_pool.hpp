@@ -9,12 +9,20 @@
  * map — are immutable and shared by every session (the multi-mission
  * structure of maplab-style systems).
  *
- * Scheduling is actor-style: every session owns a FIFO of pending
- * frames and is processed by at most one worker at a time, so frames
- * of one session retain submission order (localizers are stateful and
- * order-sensitive) while different sessions run concurrently across
- * the worker pool. The workers already take every core, so addSession()
- * pins each session's frontend to one lane (frontend/frontend.hpp).
+ * The pool's worker loop is the runtime's one executor of the frame
+ * graph (FE | SM | TM | solve | finish). Every admitted frame becomes
+ * a job that runs its session's cut list one segment at a time on
+ * whichever worker is free, and per-session node progress orders the
+ * jobs: a segment ending at node b of frame s starts only once frame
+ * s-1 has completed node b, so every node sees its frames in
+ * submission order and each session's results leave in that order
+ * (localizers are stateful and order-sensitive). Sessions added here
+ * run whole frames, one at a time (actor-style), while different
+ * sessions run concurrently across the workers; FramePipeline
+ * (runtime/pipeline.hpp) is this pool with one session whose frames
+ * run as several segments. The workers already take every core, so
+ * addSession() pins each session's frontend to one lane
+ * (frontend/frontend.hpp).
  *
  * **QoS admission control.** Robots' frames matter unequally: a
  * safety-critical vehicle's pose must not be starved by a fleet of
@@ -53,10 +61,11 @@
 
 #include "core/localizer.hpp"
 #include "map/map_service.hpp"
-#include "runtime/replan.hpp"
 #include "runtime/solve_hub.hpp"
 
 namespace edx {
+
+class SessionReplanner;
 
 /** Session QoS classes, in dispatch-priority order. */
 enum class QosClass
@@ -178,12 +187,12 @@ struct PoolConfig
      * Gang window: align concurrent sessions' backend stages so the
      * SolveHub observes batch sizes near the session count instead of
      * whoever happens to rendezvous. Frames run their frontend as they
-     * arrive, then park at the window; once every in-flight frame has
-     * reached it the pool releases up to `workers` backends together,
-     * pre-announcing the group to the hub so their first kernel
-     * requests rendezvous at full width. Per-session pose streams stay
-     * bit-identical (the window changes *when* a backend runs, never
-     * what it computes). Implies batch_solves.
+     * arrive, then park before the solve; once every in-flight frame
+     * has reached the window the pool releases up to `workers` parked
+     * frames together, pre-announcing the group to the hub so their
+     * first kernel requests rendezvous at full width. Per-session pose
+     * streams stay bit-identical (the window changes *when* a backend
+     * runs, never what it computes). Implies batch_solves.
      */
     bool gang_window = false;
 
@@ -198,21 +207,6 @@ struct PoolConfig
      * indefinitely (the pre-QoS behavior).
      */
     double gang_timeout_ms = 2000.0;
-
-    /**
-     * Per-session online re-planning: every completed frame's telemetry
-     * feeds the session's SessionReplanner (runtime/replan.hpp), and on
-     * each tick a candidate cut list is fit from the live window and
-     * adopted as the session's *recommended topology* when it clears
-     * the hysteresis margin. The pool schedules whole frames (the
-     * actor model never splits a session across workers), so the plan
-     * is advisory here — it is what a staged per-session runtime
-     * (FramePipeline) would be swapped to — but the counters and the
-     * recommended cuts flow through PoolStats either way. Off by
-     * default.
-     */
-    bool replan = false;
-    ReplanConfig replan_cfg; //!< cadence/hysteresis when replan is on
 
     /**
      * Live shared-map service (map/map_service.hpp), borrowed; must
@@ -256,14 +250,6 @@ struct SessionPoolStats
     long dead_reckoned_frames = 0; //!< poses from the fallback reckoner
 
     /**
-     * The session's recommended pipeline cut list under
-     * PoolConfig::replan (empty = sequential / replanning off), plus
-     * its adaptation counters.
-     */
-    std::vector<int> plan_cuts;
-    ReplanStats replan;
-
-    /**
      * Shared-map participation (PoolConfig::map_service): contribution
      * batches this session pushed into the service, the epoch its
      * registration tracker currently reads, and the worst observed
@@ -291,13 +277,10 @@ struct PoolStats
     long completed = 0;
     long dropped = 0;
 
-    // Adaptation counters (elastic scaling + online re-planning).
+    // Elastic scaling counters.
     int workers = 0;           //!< current live worker count
     long workers_grown = 0;    //!< elastic spawns beyond the initial set
     long workers_retired = 0;  //!< workers retired on sustained idle
-    long replans = 0;          //!< replan ticks evaluated, all sessions
-    long plan_updates = 0;     //!< proposals written to plan_cuts
-    long plans_held = 0;       //!< ticks held by hysteresis/min-data
 
     // Shared-map service counters (PoolConfig::map_service).
     bool map_service_attached = false;
@@ -400,6 +383,7 @@ class LocalizerPool
     PoolStats stats() const;
 
   private:
+    friend class FramePipeline;
     using Clock = std::chrono::steady_clock;
 
     /** A frame admitted into a session queue. */
@@ -410,34 +394,80 @@ class LocalizerPool
         Clock::time_point admit_time;
     };
 
+    /** Where a started frame stands between its segments. */
+    enum class JobState
+    {
+        Waiting, //!< its next segment is not ready yet
+        Queued,  //!< in ready_, waiting for a worker
+        Running, //!< a worker is executing one of its segments
+        Parked,  //!< at the gang window, before its solve
+    };
+
+    /** A started frame: its inputs and the products of its nodes. */
+    struct Job
+    {
+        int sid = -1;
+        long seq = 0; //!< the session's frame sequence number
+        FrameInput input;
+        FrontendOutput fe;
+        FrontendStageContext fectx;
+        BackendStageContext bectx;
+        LocalizationResult res; //!< filled by the finish node
+
+        /** The cut list the frame took at its first segment. */
+        std::vector<int> cuts;
+        /** One processFrame() call instead of the five nodes. */
+        bool whole = false;
+        bool park = false;     //!< stops before the solve (gang window)
+        bool released = false; //!< member of a released gang wave
+        int next = 0;          //!< next node to run
+        JobState state = JobState::Waiting;
+        double wait_ms = 0.0;  //!< admission -> first segment
+        std::array<double, kPipelineNodes> span_ms{}; //!< per segment
+    };
+
     struct Session
     {
-        std::unique_ptr<Localizer> loc;
+        Localizer *loc = nullptr;
+        std::unique_ptr<Localizer> owned; //!< null when borrowed
         SessionConfig cfg;
         std::deque<PendingFrame> pending;
-        bool running = false; //!< a worker currently owns this session
+
+        /** Started, unfinished frames, in sequence order. */
+        std::deque<std::unique_ptr<Job>> jobs;
+        /** Cut list of the frames not started yet ({} = whole frames). */
+        std::vector<int> cuts;
+        size_t max_jobs = 1; //!< bound on jobs.size()
+        long started = 0;    //!< frames started (the next frame's seq)
+        /** done[n]: frames that completed node n (they do so in order). */
+        std::array<long, kPipelineNodes> done{};
+        /** Frames whose finish node has started or completed. */
+        long finish_started = 0;
+        bool runnable = false; //!< listed in runnable_
+        SessionReplanner *replanner = nullptr; //!< borrowed, may be null
         SessionPoolStats stats;
 
-        // Gang window: the frame parked between its frontend and its
-        // released backend (valid while this session sits in
-        // gang_staged_ / gang_released_).
-        FrameInput staged_input;
-        FrontendOutput staged_fe;
-        double staged_wait_ms = 0.0;
-
-        // Online re-planning (PoolConfig::replan).
-        std::unique_ptr<SessionReplanner> replanner;
-        std::vector<int> plan_cuts; //!< current recommended topology
+        // Accounting FramePipeline::stats() reports.
+        std::array<double, kPipelineNodes> stage_busy_ms{};
+        size_t pending_high_water = 0;
+        long cut_swaps = 0;
+        Clock::time_point first_admit;
+        double wall_ms = 0.0; //!< first admission -> latest completion
     };
 
     void workerLoop();
     /** Blocks for work; false = this worker retired (elastic shrink). */
     bool waitForWork(std::unique_lock<std::mutex> &lk);  //!< under m_
-    void spawnWorkerLocked();                //!< under m_
-    void notifyResourceShiftLocked();        //!< under m_
-    void observeForReplan(Session &s, const LocalizationResult &res);
-    void runReleasedBackend(std::unique_lock<std::mutex> &lk, int sid);
+    bool spawnWorkerLocked(); //!< under m_; false once stopping
     void dispatchSession(std::unique_lock<std::mutex> &lk, int sid);
+    /** Runs @p job's ready segments; returns once it waits, parks or
+     *  completes. Under m_ (released while a segment executes). */
+    void runJob(std::unique_lock<std::mutex> &lk, Job &job);
+    void runNodes(Session &s, Job &job, int first, int stop);
+    /** Queues @p sid's ready continuations and lists it in runnable_
+     *  exactly while its next frame may start. Under m_. */
+    void refreshSessionLocked(int sid);
+    bool canStartLocked(const Session &s) const; //!< under m_
     bool canDispatchClass(int qi) const;     //!< under m_
     int pickableClass() const;               //!< under m_
     int gangJoinable() const;                //!< under m_
@@ -445,24 +475,40 @@ class LocalizerPool
                      FrameInput &&input);    //!< under m_ (may wait)
     int pickSession();                       //!< under m_
     void dropOldestBestEffort();             //!< under m_
-    void finishFrame(int sid, PoolResult r); //!< under m_
+    void finishJob(Session &s, Job &job);    //!< under m_
     void maybeReleaseGang(bool force);       //!< under m_
     Session &sessionAt(int session_id);      //!< under m_ (throws)
+
+    /**
+     * FramePipeline's pool: with @p staged set, session 0 runs that
+     * borrowed localizer's frames as the segments of @p cuts and feeds
+     * them to @p replanner (may be null).
+     */
+    LocalizerPool(const PoolConfig &cfg, Localizer *staged,
+                  const std::vector<int> &cuts, SessionReplanner *replanner);
+    /** @return false when @p cuts already is the list or the pool is
+     *  stopping. */
+    bool setCuts(int sid, const std::vector<int> &cuts);
+    void setCutsLocked(Session &s, const std::vector<int> &cuts);
+    void swapCutsLocked(Session &s, const std::vector<int> &cuts);
 
     PoolConfig cfg_;
     std::array<size_t, kQosClasses> class_capacity_{};
     SolveHub hub_; //!< shared batching rendezvous (used when enabled)
 
     mutable std::mutex m_;
-    std::condition_variable work_cv_;   //!< workers: runnable session
+    std::condition_variable work_cv_;   //!< workers: runnable work
     std::condition_variable space_cv_;  //!< producers: class quota space
     std::condition_variable result_cv_; //!< consumers: results / drain
 
     std::vector<std::unique_ptr<Session>> sessions_;
     bool have_safety_ = false; //!< any SAFETY_CRITICAL session registered
 
-    /** Sessions with pending frames, not running, per class. */
+    /** Sessions whose next frame may start now, per class. */
     std::array<std::deque<int>, kQosClasses> runnable_;
+    /** Started frames whose next segment is ready: they run before any
+     *  new frame starts. */
+    std::deque<Job *> ready_;
     std::array<size_t, kQosClasses> class_queued_{};
     int active_non_safety_ = 0; //!< workers executing non-safety frames
     long dispatch_count_ = 0;   //!< weighted-rotation counter
@@ -484,10 +530,9 @@ class LocalizerPool
     bool shutdown_done_ = false;
 
     // Gang window state (gang_window only).
-    int gang_frontends_ = 0;        //!< frames currently in a frontend
-    int gang_outstanding_ = 0;      //!< released backends not yet done
-    std::deque<int> gang_staged_;   //!< sessions parked at the window
-    std::deque<int> gang_released_; //!< backends released to run
+    int gang_frontends_ = 0;       //!< frames currently before their park
+    int gang_outstanding_ = 0;     //!< released frames not yet finished
+    std::deque<Job *> gang_staged_; //!< frames parked at the window
     bool gang_timer_armed_ = false; //!< wave waiting only on frontends
     Clock::time_point gang_wait_since_;
 

@@ -14,86 +14,55 @@
  * platform by minimizing the max predicted stage time over the hw/
  * accelerator latency models and the KernelLatencyModel fits.
  *
- *   submit() -> [bounded input queue] -> stage worker 0
- *            -> [bounded stage queue] -> stage worker 1 -> ... -> results
+ * FramePipeline is a LocalizerPool (runtime/localizer_pool.hpp) with
+ * one Standard session over the borrowed localizer: every frame is a
+ * job whose segments run on the pool's workers, one worker per stage.
+ * A segment of frame N+1 starts only once frame N has passed the
+ * segment's last node, so every sub-stage sees the frames in
+ * submission order and the pipelined pose stream is bit-identical to
+ * the sequential one — the concurrency changes *when* a sub-stage
+ * runs, never *what* it computes. Sub-stages with cross-frame
+ * couplings synchronize internally: the SLAM solve of frame N+1 joins
+ * the finish of frame N before it mutates the map (see
+ * core/localizer.hpp), and the pool starts such a solve only once that
+ * finish runs. submit() blocks while queue_capacity frames wait for
+ * their first stage (backpressure), and results leave in submission
+ * order. A frame the localizer cannot split (not initialized, or no
+ * images) runs processFrame() as one segment, as in the pool.
  *
- * Each stage is a single worker consuming a FIFO queue, so frames pass
- * through every stage strictly in submission order and the pipelined
- * pose stream is bit-identical to the sequential one — the concurrency
- * changes *when* a sub-stage runs, never *what* it computes. Sub-stages
- * with cross-frame couplings synchronize internally: the SLAM solve of
- * frame N+1 joins the finish of frame N before it mutates the map (see
- * core/localizer.hpp). Bounded queues give backpressure: a slow stage
- * throttles submit() instead of letting frames accumulate without
- * bound.
+ * **Cut swaps (self-repipelining).** swapCuts() sets the cut list of
+ * every frame not yet started, with no restart and no drain barrier:
+ * frames in flight finish on the list they started with, and the
+ * per-node order makes every swap schedule bit-identical to the
+ * sequential run. When PipelineConfig::replanner is set, the worker
+ * that finishes a frame feeds its telemetry to the SessionReplanner,
+ * and a proposal that clears its hysteresis margin applies at once.
  *
- * **Epoch-based cut swaps (self-repipelining).** swapCuts() installs a
- * new topology *between frames* with no restart and no drain barrier:
- * the active topology is an *epoch* (its own stage workers and
- * queues); a swap retires the current epoch's input queue and routes
- * new submissions to a fresh epoch while the old epoch's in-flight
- * frames finish on the old topology. Correctness across the handoff
- * rests on two mechanisms:
- *
- *  - Per-node sequence gates: every frame carries a global submission
- *    sequence number, and each of the five sub-stage nodes executes
- *    frames strictly in that order — across epochs. The localizer
- *    therefore observes exactly the per-node call order of a single
- *    fixed topology, which is what makes every cut list (and so every
- *    swap schedule) bit-identical to the sequential run.
- *  - A sequence-ordered reorder buffer on the result side, so results
- *    surface in submission order even when the first frames of a new
- *    epoch finalize while the old epoch's tail is still in flight.
- *
- * When PipelineConfig::replanner is set the pipeline closes the loop
- * itself: completed-frame telemetry feeds the SessionReplanner and a
- * proposal that clears its hysteresis margin is swapped in
- * automatically (the ROADMAP's self-repipelining item).
- *
- * **Frontend lanes.** Each of N >= 2 stages is one thread, and the
+ * **Frontend lanes.** Each of N >= 2 stages is one worker, and the
  * producer and consumer around the pipeline keep one more CPU, so an
- * N-stage epoch leaves availableCpus() - N - 1 CPUs free. The FE and
- * TM blocks each run on their stage's thread plus helper lanes on
- * those free CPUs (frontend/frontend.hpp), and every epoch install
- * sets the count (frontendLanes()). When one stage runs both blocks it
+ * N-stage topology leaves availableCpus() - N - 1 CPUs free. The FE
+ * and TM blocks each run on their stage's worker plus helper lanes on
+ * those free CPUs (frontend/frontend.hpp), and every cut change sets
+ * the count (frontendLanes()). When one stage runs both blocks it
  * gets them all, max(1, availableCpus() - N) lanes. When a cut
  * separates FE from TM, FE of frame N+1 runs beside TM of frame N, so
- * the two blocks split the free CPUs. A single stage runs inline on
- * the producer and takes every CPU. A topology that already fills the
- * host keeps one lane. Lanes never change what the frontend computes.
+ * the two blocks split the free CPUs. A single stage takes every CPU.
+ * A topology that already fills the host keeps one lane. Lanes never
+ * change what the frontend computes.
  *
  * The CPU left to the producer side is what keeps the pipeline steady:
  * a block's lanes join on the slowest one, so with every CPU taken, a
  * lane preempted by the producer, the consumer, the OS or a co-tenant
  * of a virtual host stalls the whole block.
- *
- * The offload scheduler (Sec. VI-B) plugs in at the TM -> solve
- * boundary: the decision for the backend kernel is computed from the
- * sizes the frontend just produced, per stage rather than at frame
- * end, and is stamped into the frame's telemetry. When
- * PipelineConfig::refit is set, the measured kernel latency of every
- * completed frame feeds the scheduler's online windowed refit.
  */
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <set>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/localizer.hpp"
-#include "runtime/frame_queue.hpp"
-#include "sched/scheduler.hpp"
+#include "runtime/localizer_pool.hpp"
 
 namespace edx {
 
@@ -122,59 +91,26 @@ std::string describeCuts(const std::vector<int> &cuts);
 struct PipelineConfig
 {
     /**
-     * Stage count. 0 (the default) derives the topology: the classic
-     * 2-stage frontend|backend split when @ref cuts is empty,
-     * cuts.size() + 1 otherwise. An explicit value must be consistent:
-     * with an empty cut list only 1 (sequential) and 2 (cuts = {2})
-     * are valid — deeper topologies must name their cut points — and
-     * with a cut list it must equal cuts.size() + 1. Invalid
-     * combinations are rejected with std::invalid_argument — never
-     * silently clamped or overridden.
+     * Cut points: strictly increasing boundaries in [0, 3], where cut
+     * b splits the chain between sub-stage b and b+1. The cut list
+     * alone names the topology: the default {2} is the classic
+     * frontend|backend split, and {} runs every frame as one stage.
+     * Invalid lists are rejected with std::invalid_argument — never
+     * silently clamped.
      */
-    int stages = 0;
+    std::vector<int> cuts = {static_cast<int>(PipeNode::Tm)};
 
     /**
-     * Explicit cut points: strictly increasing boundaries in [0, 3],
-     * where cut b splits the chain between sub-stage b and b+1. When
-     * non-empty it defines the topology (stages must match
-     * cuts.size() + 1 or be left at its default).
+     * Frames admitted ahead of the first stage; submit() blocks beyond
+     * it. Between stages the pipeline buffers as much again per cut.
      */
-    std::vector<int> cuts;
-
-    size_t queue_capacity = 4; //!< bound of each inter-stage queue
-
-    /**
-     * Optional per-stage offload scheduler (borrowed). When set, every
-     * frame's backend-kernel decision is computed at the TM -> solve
-     * boundary against @ref accel_ms.
-     *
-     * Fit domain: the scheduler's KernelLatencyModel must be fit on
-     * the *stage-boundary* size drivers (stageSizeDriver over the
-     * frontend workload), not on the backend kernel sizes the fig16
-     * benches fit on (map points / stacked rows / marginalized
-     * landmarks) — those are a different variable and scale and only
-     * exist after the backend has run.
-     */
-    const RuntimeScheduler *scheduler = nullptr;
-    double accel_ms = 0.0; //!< modeled accelerator latency (compute+DMA)
-
-    /**
-     * Optional online-refit sink (borrowed, may alias the decision
-     * scheduler's object): after every completed frame the measured
-     * mode-kernel latency is fed to refit->observe() so the latency
-     * model tracks workload drift (arm it with enableOnlineRefit()).
-     */
-    RuntimeScheduler *refit = nullptr;
+    size_t queue_capacity = 4;
 
     /**
      * Optional online replanner (borrowed): every completed frame's
      * telemetry feeds its rolling window, and a plan that clears its
-     * hysteresis margin is swapped in automatically between frames
-     * (see runtime/replan.hpp). The swap is applied opportunistically
-     * from the finish worker — never blocking a producer parked in
-     * submit() — and, failing that, by the next submit() call itself
-     * (which already owns the producer lock), so even a saturating
-     * producer sees a proposal land within one frame.
+     * hysteresis margin becomes the cut list of every frame not yet
+     * started (see runtime/replan.hpp).
      */
     SessionReplanner *replanner = nullptr;
 };
@@ -185,14 +121,14 @@ struct PipelineStats
     long frames = 0;
     int stages = 1; //!< stage count of the *current* topology
 
-    /** Total wall time each stage worker spent executing, per stage.
-     *  Attributed by stage index within the frame's own epoch. */
+    /** Total wall time the workers spent executing, per stage index of
+     *  each frame's own topology. */
     std::array<double, kPipelineNodes> stage_busy_ms{};
 
-    double wall_ms = 0.0;  //!< first submit -> last completion span
-    size_t input_high_water = 0; //!< deepest input-queue backlog seen
+    double wall_ms = 0.0;  //!< first admission -> last completion span
+    size_t input_high_water = 0; //!< most frames seen waiting to start
 
-    long cut_swaps = 0; //!< topologies swapped in mid-run (epochs - 1)
+    long cut_swaps = 0; //!< cut lists changed mid-run
 
     /** Achieved end-to-end throughput, frames/s. */
     double
@@ -209,7 +145,7 @@ struct PipelineStats
 class FramePipeline
 {
   public:
-    /** @throws std::invalid_argument for an invalid stage/cut config. */
+    /** @throws std::invalid_argument for an invalid cut list. */
     explicit FramePipeline(Localizer &localizer,
                            const PipelineConfig &cfg = {});
 
@@ -220,23 +156,24 @@ class FramePipeline
     FramePipeline &operator=(const FramePipeline &) = delete;
 
     /**
-     * Enqueues one frame (taking ownership of its images). Blocks while
-     * the bounded input queue is full (backpressure). Returns false —
-     * without enqueueing or side effects — once close() has begun.
+     * Admits one frame (taking ownership of its images). Blocks while
+     * queue_capacity frames wait to start (backpressure). Returns
+     * false — without admitting or side effects — once close() has
+     * stopped the workers.
      */
     bool submit(FrameInput input);
 
     /**
-     * Swaps the active topology to @p cuts between frames: frames
-     * already admitted finish on their epoch's topology while later
-     * submissions take the new one, with no drain barrier and a pose
-     * stream bit-identical to any fixed topology. Callable from any
-     * thread except a stage worker. @return false when @p cuts already
-     * is the active topology or close() has begun.
-     * @throws std::invalid_argument for an invalid stage/cut combo
-     *         (same validation as the constructor).
+     * Sets the cut list of every frame not yet started: frames in
+     * flight finish on the list they started with, with no drain
+     * barrier and a pose stream bit-identical to any fixed topology.
+     * A deeper list starts the workers it lacks. @return false when
+     * @p cuts already is the current list or close() has stopped the
+     * workers.
+     * @throws std::invalid_argument for an invalid cut list (same
+     *         validation as the constructor).
      */
-    bool swapCuts(const std::vector<int> &cuts, int stages = 0);
+    bool swapCuts(const std::vector<int> &cuts);
 
     /**
      * Non-blocking: pops the next completed frame in submission order.
@@ -262,130 +199,31 @@ class FramePipeline
 
     const PipelineConfig &config() const { return cfg_; }
 
-    /** The cut list of the current (newest) epoch. */
+    /** The cut list the next frame to start takes. */
     std::vector<int> cuts() const;
-
-    /** The node range [first, last) each current-epoch stage executes. */
-    std::vector<std::pair<int, int>> segments() const;
 
     PipelineStats stats() const;
 
     /**
      * Frontend lanes of a cut list on @p cpus CPUs: the free CPUs
-     * (cpus minus one per stage thread and one for the producer side)
-     * plus the FE/TM stage's own thread, max(1, cpus - stages) for two
+     * (cpus minus one per stage worker and one for the producer side)
+     * plus the FE/TM stage's own worker, max(1, cpus - stages) for two
      * or more stages and cpus for one. When a cut separates FE from TM
-     * the two blocks run at once on two stage threads and each gets
-     * half the free CPUs, max(0, cpus - stages - 1) / 2 + 1.
+     * the two blocks run at once on two workers and each gets half the
+     * free CPUs, max(0, cpus - stages - 1) / 2 + 1.
      */
     static int frontendLanes(const std::vector<int> &cuts, int cpus);
 
   private:
-    /** A frame travelling between the stages. */
-    struct StageJob
-    {
-        long seq = 0; //!< global submission sequence (gates + reorder)
-        FrameInput input;
-        FrontendOutput fe;
-        FrontendStageContext fectx;
-        BackendStageContext bectx;
-        LocalizationResult res; //!< filled by the finish node
-        bool valid = false; //!< false: bypasses every sub-stage
-        std::array<double, kPipelineNodes> stage_span_ms{};
-        OffloadDecision offload;
-        bool has_offload = false;
-    };
+    /** @return @p cfg after validating its cut list.
+     *  @throws std::invalid_argument */
+    static const PipelineConfig &checked(const PipelineConfig &cfg);
+    static void checkCuts(const std::vector<int> &cuts);
 
-    /** One installed topology: its own stage workers and queues. */
-    struct Epoch
-    {
-        int index = 0;
-        int stages = 1;
-        std::vector<int> cuts;
-        std::vector<std::pair<int, int>> segments;
-        BoundedQueue<StageJob> in_q;
-        std::vector<std::unique_ptr<BoundedQueue<StageJob>>> stage_qs;
-        std::vector<std::thread> workers;
-        std::atomic<int> live_workers{0};
+    static constexpr int kSession = 0; //!< the pool's one session
 
-        explicit Epoch(size_t cap) : in_q(cap) {}
-    };
-
-    /**
-     * Validates a stage/cut combination (the constructor contract) and
-     * returns the resolved cut list. @throws std::invalid_argument.
-     */
-    static std::vector<int> resolveTopology(int stages,
-                                            const std::vector<int> &cuts);
-    static std::vector<std::pair<int, int>>
-    segmentsFor(const std::vector<int> &cuts);
-
-    /** Builds an epoch, starts its stage workers and sets the
-     *  session's frontend lanes for its topology. */
-    std::unique_ptr<Epoch> spawnEpoch(std::vector<int> cuts, int index);
-
-    /** Builds, spawns and installs an epoch. Caller holds submit_m_. */
-    bool installEpoch(std::vector<int> cuts);
-
-    void stageWorker(Epoch *e, int stage);
-    void runNode(int node, StageJob &job);
-    void executeSegment(Epoch &e, int stage, StageJob &job);
-    void finalizeJob(Epoch &e, StageJob &job);
-    void runInline(Epoch &e, StageJob job);
-    void pushResult(long seq, LocalizationResult res);
-    void drainResultsLocked(); //!< under result_m_
-
-    /** Blocks until it is @p seq's turn at sub-stage @p node. */
-    void waitNodeTurn(int node, long seq);
-    void advanceNodeTurn(int node);
-    /** Admitted-then-never-entered seq (close() race): unblocks the
-     *  gates and the result order past it. */
-    void voidSeq(long seq);
-
-    /** Applies a deferred replanner proposal when no producer holds
-     *  submit_m_ (never blocks — called from the finish worker). */
-    void trySwapPending();
-
-    Localizer &loc_;
     PipelineConfig cfg_;
-
-    // Epoch bookkeeping. submit_m_ serializes producers *and* swaps,
-    // so the global sequence order equals the per-epoch queue order
-    // (the gates rely on it). epoch_m_ guards the epoch list/pointer.
-    std::mutex submit_m_;
-    mutable std::mutex epoch_m_;
-    std::vector<std::unique_ptr<Epoch>> epochs_;
-    Epoch *current_ = nullptr;
-    int epoch_counter_ = 0;
-    std::optional<std::vector<int>> pending_swap_;
-
-    // Per-node sequence gates: node_turn_[n] is the next seq allowed
-    // to execute sub-stage n (across every epoch).
-    std::mutex gate_m_;
-    std::condition_variable gate_cv_;
-    std::array<long, kPipelineNodes> node_turn_{};
-    std::set<long> gate_holes_; //!< voided seqs the gates skip
-
-    // Completed results (unbounded: results are small and draining them
-    // must never be able to deadlock the stages). reorder_ holds
-    // finalized frames until every earlier seq has surfaced.
-    mutable std::mutex result_m_;
-    std::condition_variable result_cv_;
-    std::deque<LocalizationResult> results_;
-    std::map<long, LocalizationResult> reorder_;
-    std::set<long> result_holes_; //!< voided seqs the emitter skips
-    long next_emit_ = 0;
-    long submitted_ = 0;
-    long completed_ = 0;
-    long voided_ = 0;         //!< admitted seqs that never entered
-    bool closed_ = false;     //!< submit() gate, set when close() begins
-    bool close_done_ = false; //!< workers joined (under result_m_)
-    std::mutex lifecycle_m_;  //!< serializes concurrent close() calls
-
-    mutable std::mutex stats_m_;
-    PipelineStats stats_;
-    bool first_submit_done_ = false;
-    std::chrono::steady_clock::time_point first_submit_;
+    LocalizerPool pool_;
 };
 
 } // namespace edx

@@ -21,15 +21,7 @@ SessionReplanner::reset()
     std::lock_guard<std::mutex> lk(m_);
     window_.clear();
     since_tick_ = 0;
-    force_tick_ = false;
     stats_ = {};
-}
-
-void
-SessionReplanner::notifyResourceShift()
-{
-    std::lock_guard<std::mutex> lk(m_);
-    force_tick_ = true;
 }
 
 ReplanStats
@@ -49,13 +41,8 @@ SessionReplanner::observe(const FrameTelemetry &telemetry,
     while (static_cast<int>(window_.size()) > cfg_.window)
         window_.pop_front();
     ++stats_.observed;
-    ++since_tick_;
-    if (force_tick_) {
-        ++stats_.forced;
-    } else if (since_tick_ < cfg_.tick_frames) {
+    if (++since_tick_ < cfg_.tick_frames)
         return std::nullopt;
-    }
-    force_tick_ = false;
     since_tick_ = 0;
     ++stats_.ticks;
 

@@ -16,10 +16,9 @@
  * pipeline through swap after swap.
  *
  * The replanner is passive and thread-safe: observe() is called from
- * whatever thread completes frames (a pipeline finish worker, the
- * pool's adaptation tick) and returns the proposal; applying it (an
- * epoch swap in FramePipeline, a plan record in LocalizerPool) is the
- * caller's business.
+ * whatever thread completes frames (the pool worker that finishes a
+ * FramePipeline frame) and returns the proposal; applying it (a cut
+ * swap in FramePipeline) is the caller's business.
  */
 #pragma once
 
@@ -65,14 +64,13 @@ struct ReplanConfig
     int max_stages = kPipelineNodes;
 };
 
-/** Adaptation counters (fed into PoolStats / bench assertions). */
+/** Adaptation counters (bench and test assertions read them). */
 struct ReplanStats
 {
     long observed = 0;  //!< telemetry frames ingested
     long ticks = 0;     //!< re-plan evaluations run
     long proposals = 0; //!< improving plans returned to the caller
     long held = 0;      //!< ticks where hysteresis kept the current plan
-    long forced = 0;    //!< ticks forced by a resource shift
 };
 
 /** Windowed telemetry -> hysteresis-gated cut-list proposals. */
@@ -90,18 +88,6 @@ class SessionReplanner
     std::optional<StagePlan> observe(const FrameTelemetry &telemetry,
                                      BackendMode mode,
                                      const std::vector<int> &current_cuts);
-
-    /**
-     * Signals a compute-resource shift (the pool's elastic scaling
-     * grew or retired a worker): the next observe() re-fits and
-     * re-plans immediately instead of waiting out
-     * ReplanConfig::tick_frames — the per-stage latency regime a
-     * session observes changes with the machine's effective width, and
-     * drifting through a stale cadence window wastes the gain. The
-     * min_mode_frames and hysteresis gates still apply; only the
-     * cadence is overridden.
-     */
-    void notifyResourceShift();
 
     ReplanStats stats() const;
 
@@ -121,7 +107,6 @@ class SessionReplanner
     ReplanConfig cfg_;
     std::deque<Sample> window_;
     int since_tick_ = 0;
-    bool force_tick_ = false; //!< set by notifyResourceShift()
     ReplanStats stats_;
 };
 

@@ -13,10 +13,8 @@
  *  - FrameTelemetry: the single per-frame record the benches, the
  *    scheduler and the pipeline consume.
  *
- * The pipeline additionally stamps the *stage* spans (the wall time a
- * frame spent in each stage of its topology) and the per-stage offload
- * decision, which is computed at the frontend -> backend boundary
- * (Sec. VI-B) rather than at frame end.
+ * The runtime additionally stamps the *stage* spans: the wall time a
+ * frame spent in each stage of its topology.
  */
 #pragma once
 
@@ -90,9 +88,9 @@ class StageTimer
  * boundary of the pipelined runtime.
  *
  * The paper's scheduler predicts the backend kernel's CPU time "from
- * the sizes the frontend just produced" so the offload decision is
- * ready *before* the backend stage starts (per-stage scheduling, not
- * per-frame-end). Each kernel's size is driven by a frontend product:
+ * the sizes the frontend just produced", before the backend stage
+ * starts; the placement planner fits the solve sub-stage against the
+ * same driver. Each kernel's size is driven by a frontend product:
  * projection by the stereo matches that seed map-point association,
  * Kalman gain by the temporal tracks that terminate into MSCKF rows,
  * and marginalization by the stereo landmarks entering the window.
@@ -139,10 +137,10 @@ struct FrameTelemetry
     double queue_wait_ms = 0.0;
 
     /**
-     * Per-pipeline-stage wall time of this frame under the N-stage
-     * topology (first pipeline_stages entries valid; filled by
-     * FramePipeline). The steady-state pipelined frame interval is
-     * max over stages.
+     * Per-stage wall time of this frame under the topology it ran
+     * (first pipeline_stages entries valid; filled by the runtime,
+     * where a pool session's whole frame is one stage). The
+     * steady-state pipelined frame interval is max over stages.
      */
     std::array<double, kPipelineNodes> stage_span_ms{};
     int pipeline_stages = 0;
@@ -156,14 +154,6 @@ struct FrameTelemetry
             m = stage_span_ms[i] > m ? stage_span_ms[i] : m;
         return m;
     }
-
-    /**
-     * Offload decision for the active backend kernel, computed at the
-     * frontend -> backend stage boundary from the sizes the frontend
-     * just produced (valid only when has_offload_decision).
-     */
-    OffloadDecision backend_offload;
-    bool has_offload_decision = false;
 
     /**
      * Tracking-quality state of the session at this frame
